@@ -18,7 +18,6 @@
 #include "bench/bench_util.hpp"
 #include "common/env.hpp"
 #include "harness/experiments.hpp"
-#include "memsim/media_backend.hpp"
 
 using namespace gpm;
 using namespace gpm::bench;
@@ -26,10 +25,7 @@ using namespace gpm::bench;
 int
 main()
 {
-    // Cells already fan out across GPM_EXEC_WORKERS, so only the media
-    // selection (GPM_MEDIA) applies inside each cell's machine.
-    SimConfig cfg;
-    applyMediaConfig(cfg, mediaFromEnv(cfg.media));
+    const SimConfig cfg = benchConfig();
     constexpr PlatformKind kCols[] = {
         PlatformKind::CapFs, PlatformKind::GpmNdp, PlatformKind::Gpm,
         PlatformKind::GpmEadr, PlatformKind::CapEadr,

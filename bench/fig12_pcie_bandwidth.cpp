@@ -11,7 +11,6 @@
  */
 #include "bench/bench_util.hpp"
 #include "harness/experiments.hpp"
-#include "memsim/media_backend.hpp"
 
 using namespace gpm;
 using namespace gpm::bench;
@@ -19,10 +18,7 @@ using namespace gpm::bench;
 int
 main()
 {
-    // benchConfig()'s env knobs minus the executor width: the media
-    // selection (GPM_MEDIA) applies to every workload's machine.
-    SimConfig cfg;
-    applyMediaConfig(cfg, mediaFromEnv(cfg.media));
+    const SimConfig cfg = benchConfig();
     Table table({"Class", "Workload", "PM write BW (GB/s)",
                  "Link max (GB/s)"});
 

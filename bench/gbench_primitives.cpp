@@ -76,9 +76,8 @@ BM_NvmModelInterleaved(benchmark::State &state)
     // produces), round-robin across warps — the worst case for the
     // last-stream cache, so every record resolves through the stream
     // table. Slabs stripe across the DIMM set, so each DIMM's private
-    // table holds 1/N of the streams: at one DIMM the table is one
-    // multi-MiB cache-busting flat table (bit-identical to the legacy
-    // model), at 4-8 it shards into cache-resident pieces.
+    // table holds 1/N of the streams; at one DIMM it is one flat
+    // table, bit-identical to the legacy model.
     // Arg = DIMM count.
     SimConfig cfg;
     cfg.media.kind = MediaKind::Interleaved;

@@ -1,16 +1,22 @@
 /**
  * @file
- * Shared parsing of the executor worker-count knob.
+ * Strict parsing of numeric command-line values and of the
+ * GPM_EXEC_WORKERS sweep-width variable.
  *
- * SimConfig::exec_workers is settable from two places — the
- * GPM_EXEC_WORKERS environment variable (every bench driver) and the
- * --jobs flag (gpmbench, gpmtrace). Both funnel through
- * parseExecWorkers() so the accepted grammar is defined exactly once:
- * a decimal integer in [0, 1024], no trailing junk, no empty string
- * (0 means one worker per hardware thread; see SimConfig).
+ * Every numeric flag and positional seed of the tools funnels through
+ * these parsers, so the accepted grammar is defined exactly once:
+ * plain decimal digits — no sign, no space, no trailing junk, no empty
+ * string, no overflow. Malformed input is an error, never a silently
+ * different run (`abc` is not seed 0, `-1` is not 2^64-1).
+ *
+ * A worker count is such a value in [0, 1024]; 0 means one worker
+ * per hardware thread. GPM_EXEC_WORKERS supplies the default sweep
+ * width of gpmtorture, gpmcheck, `gpmbench matrix` and the figure
+ * drivers.
  */
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -20,23 +26,43 @@ namespace gpm {
 constexpr int kMaxExecWorkers = 1024;
 
 /**
- * Strictly parse a worker count.
+ * Strictly parse a decimal unsigned 64-bit value.
  *
- * @return The value for well-formed input in [0, kMaxExecWorkers];
- *         std::nullopt for null/empty/non-numeric/out-of-range input
- *         (including any trailing non-digit characters).
+ * @return The value for a non-empty run of decimal digits that fits in
+ *         64 bits; std::nullopt otherwise.
  */
-std::optional<int> parseExecWorkers(const char *s);
-
-/** string_view convenience overload. */
-std::optional<int> parseExecWorkers(std::string_view s);
+std::optional<std::uint64_t> parseU64(std::string_view s);
 
 /**
- * Worker count from the GPM_EXEC_WORKERS environment variable.
+ * Strictly parse a worker count: parseU64 restricted to
+ * [0, kMaxExecWorkers].
+ */
+std::optional<int> parseExecWorkers(std::string_view s);
+
+/** Null-tolerant overload (null parses as malformed). */
+std::optional<int> parseExecWorkers(const char *s);
+
+/**
+ * Strictly parse a plain decimal fraction: digits, optionally
+ * followed by '.' and more digits (`0.5`, `1`, `0.125`). No sign,
+ * exponent, hex, `inf` or `nan`.
+ */
+std::optional<double> parseDecimal(std::string_view s);
+
+/**
+ * Flag-parsing forms of the parsers above: the value, or fatal()
+ * naming @p flag, the accepted grammar and the rejected text.
+ */
+std::uint64_t requireU64(std::string_view flag, std::string_view v);
+int requireExecWorkers(std::string_view flag, std::string_view v);
+double requireDecimal(std::string_view flag, std::string_view v);
+
+/**
+ * Sweep width from the GPM_EXEC_WORKERS environment variable.
  *
  * @return The parsed value, or @p fallback when the variable is unset
  *         or rejected by parseExecWorkers (invalid input degrades to
- *         the sequential reference rather than erroring, so a stray
+ *         the one-worker sweep rather than erroring, so a stray
  *         environment never breaks a bench run).
  */
 int execWorkersFromEnv(int fallback = 1);

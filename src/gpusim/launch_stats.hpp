@@ -1,8 +1,8 @@
 /**
  * @file
- * Launch accounting types shared by the executor and the block
- * scheduler: per-launch aggregate stats, the raw per-warp access
- * records that feed coalescing, and the site identity they key on.
+ * Launch accounting types of the executor: per-launch aggregate
+ * stats, the raw per-warp access records that feed coalescing, and
+ * the site identity they key on.
  */
 #pragma once
 

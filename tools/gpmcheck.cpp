@@ -19,15 +19,14 @@
  *                                     instead of the real workloads
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
- *     --exec-workers N                in-scenario executor width
- *                                     (default 1; 0 = hw threads)
  *     --seed      N                   trace-capture seed (default 1)
  *     --tsv                           tab-separated findings table
  *     --summary-only                  omit the findings table
  *     --list                         print workloads + rule catalog
  *
  * Exit status: 0 = no findings at/above the severity floor, 1 =
- * findings (or a cell error), 2 = usage error.
+ * findings (or a cell error), 2 = usage error (including a malformed
+ * number: --jobs and --seed parse strictly, see common/env.hpp).
  *
  * The cells sweep through the harness engine into canonical slots, so
  * the findings, summary, and signature are bit-identical at any
@@ -81,8 +80,8 @@ usage()
     std::printf(
         "usage: gpmcheck [--workloads w,...] [--domains d,...]\n"
         "                [--severity info|warn|error] [--witness]\n"
-        "                [--corpus] [--jobs n] [--exec-workers n]\n"
-        "                [--seed n] [--tsv] [--summary-only] [--list]\n");
+        "                [--corpus] [--jobs n] [--seed n] [--tsv]\n"
+        "                [--summary-only] [--list]\n");
 }
 
 void
@@ -146,21 +145,9 @@ main(int argc, char **argv)
             } else if (arg == "--corpus") {
                 corpus = true;
             } else if (arg == "--jobs") {
-                const std::string v = value();
-                const std::optional<int> jobs = parseExecWorkers(v);
-                GPM_REQUIRE(jobs.has_value(),
-                            "--jobs: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.jobs = *jobs;
-            } else if (arg == "--exec-workers") {
-                const std::string v = value();
-                const std::optional<int> w = parseExecWorkers(v);
-                GPM_REQUIRE(w.has_value(),
-                            "--exec-workers: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.exec_workers = *w;
+                cfg.jobs = requireExecWorkers("--jobs", value());
             } else if (arg == "--seed") {
-                cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
+                cfg.seed = requireU64("--seed", value());
             } else if (arg == "--tsv") {
                 tsv = true;
             } else if (arg == "--summary-only") {

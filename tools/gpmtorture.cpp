@@ -16,8 +16,6 @@
  *     --survive   0.0,0.5             line-survival probabilities
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
- *     --exec-workers N                in-scenario executor width
- *                                     (default 1; 0 = hw threads)
  *     --scale                         CrashGrid::fine() + 12 seeds:
  *                                     the 10k+ scenario grid
  *     --tsv                           tab-separated full table
@@ -27,14 +25,12 @@
  * Every scenario is a private Machine + PmPool world and the sweep
  * engine lands results in canonical slots, so the report — table
  * order, counts, signature — is bit-identical at any --jobs; only the
- * printed sweep wall-clock changes. --exec-workers parallelizes block
- * execution *inside* each scenario (crash-armed launches included,
- * DESIGN.md decision #8) and is equally signature-invariant, so the
- * two knobs compose into a pure wall-clock trade.
+ * printed sweep wall-clock changes.
  *
  * Crash-point grammar: frac:<f in [0,1]> | before-fence:<n> |
  * after-fence:<n> | after-store:<n> (event ordinals are 1-based and
- * global to the doomed kernel launch).
+ * global to the doomed kernel launch). Seeds, survive probabilities
+ * and --jobs parse strictly (common/env.hpp): malformed numbers exit 2.
  */
 #include <array>
 #include <chrono>
@@ -91,9 +87,8 @@ usage()
     std::printf(
         "usage: gpmtorture [--workloads w,...] [--domains d,...]\n"
         "                  [--points p,...] [--seeds s,...]\n"
-        "                  [--survive f,...] [--jobs n]\n"
-        "                  [--exec-workers n] [--media m] [--scale]\n"
-        "                  [--tsv] [--summary-only] [--list]\n");
+        "                  [--survive f,...] [--jobs n] [--media m]\n"
+        "                  [--scale] [--tsv] [--summary-only] [--list]\n");
 }
 
 void
@@ -151,27 +146,17 @@ main(int argc, char **argv)
             } else if (arg == "--seeds") {
                 for (const std::string &s :
                      splitList("--seeds", value()))
-                    cfg.seeds.push_back(std::strtoull(s.c_str(),
-                                                      nullptr, 10));
+                    cfg.seeds.push_back(requireU64("--seeds", s));
             } else if (arg == "--survive") {
                 for (const std::string &s :
-                     splitList("--survive", value()))
-                    cfg.survive_probs.push_back(
-                        std::strtod(s.c_str(), nullptr));
+                     splitList("--survive", value())) {
+                    const double p = requireDecimal("--survive", s);
+                    GPM_REQUIRE(p <= 1.0, "--survive: want a probability "
+                                "in [0, 1], got '", s, "'");
+                    cfg.survive_probs.push_back(p);
+                }
             } else if (arg == "--jobs") {
-                const std::string v = value();
-                const std::optional<int> jobs = parseExecWorkers(v);
-                GPM_REQUIRE(jobs.has_value(),
-                            "--jobs: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.jobs = *jobs;
-            } else if (arg == "--exec-workers") {
-                const std::string v = value();
-                const std::optional<int> w = parseExecWorkers(v);
-                GPM_REQUIRE(w.has_value(),
-                            "--exec-workers: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.exec_workers = *w;
+                cfg.jobs = requireExecWorkers("--jobs", value());
             } else if (arg == "--media") {
                 const std::string v = value();
                 const std::optional<MediaConfig> m =
@@ -213,9 +198,9 @@ main(int argc, char **argv)
         TortureConfig counted = cfg;
         counted.applyDefaults();
         std::printf("sweeping %zu crash scenarios (--jobs %d, "
-                    "--exec-workers %d, --media %s)...\n",
+                    "--media %s)...\n",
                     counted.scenarioCount(), cfg.jobs,
-                    cfg.exec_workers, mediaKey(cfg.media).c_str());
+                    mediaKey(cfg.media).c_str());
 
         const auto t0 = std::chrono::steady_clock::now();
         const TortureReport report = TortureRunner::run(cfg);

@@ -3,7 +3,7 @@
  * gpmtrace — run any GPMbench workload under a telemetry session and
  * write a Chrome-trace timeline plus a metrics snapshot.
  *
- *     gpmtrace --workload kvs [--platform gpm] [--seed N] [--jobs N]
+ *     gpmtrace --workload kvs [--platform gpm] [--seed N]
  *              [--trace trace.json] [--metrics metrics.json]
  *              [--summary [N]] [--no-crash]
  *     gpmtrace list
@@ -23,9 +23,11 @@
  *
  * --summary prints the top-N hottest kernels by traced wall time, the
  * observed NVM tier-byte breakdown, coalescing efficiency, and
- * per-worker busy time.
+ * histogram percentiles. --seed and --summary's N parse strictly
+ * (common/env.hpp): malformed numbers exit 2.
  */
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/status.hpp"
 #include "harness/experiments.hpp"
 #include "memsim/media_backend.hpp"
 #include "telemetry/json.hpp"
@@ -62,17 +65,16 @@ usage()
 {
     std::printf(
         "gpmtrace — timeline + metrics for one workload run\n\n"
-        "  gpmtrace --workload W [--platform P] [--seed N] [--jobs N]\n"
-        "           [--media M] [--trace FILE] [--metrics FILE]\n"
+        "  gpmtrace --workload W [--platform P] [--seed N] [--media M]\n"
+        "           [--trace FILE] [--metrics FILE]\n"
         "           [--summary [N]] [--no-crash]\n"
         "  gpmtrace list\n\n"
         "workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps\n"
         "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
         "media:     %s\n"
-        "--jobs N:   parallel-executor lanes (0 = hardware threads)\n"
         "--no-crash: skip the crash + recovery pass\n"
         "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
-        "            coalescing efficiency and worker utilization\n",
+        "            coalescing efficiency and histogram percentiles\n",
         mediaUsage());
     return 2;
 }
@@ -93,16 +95,11 @@ printSummary(const Options &opt, const telemetry::Session &session,
 
     // Hottest kernels by traced wall time.
     std::map<std::string, KernelAgg> kernels;
-    std::map<std::uint32_t, double> busy_us;  // tid -> block-span time
-    double wall_end_us = 0.0;
     for (const telemetry::TraceEvent &ev : events) {
-        wall_end_us = std::max(wall_end_us, ev.ts_us + ev.dur_us);
         if (std::strcmp(ev.cat, "launch") == 0) {
             KernelAgg &k = kernels[ev.name];
             ++k.launches;
             k.wall_us += ev.dur_us;
-        } else if (std::strcmp(ev.cat, "block") == 0) {
-            busy_us[ev.tid] += ev.dur_us;
         }
     }
     std::vector<std::pair<std::string, KernelAgg>> hot(kernels.begin(),
@@ -111,11 +108,10 @@ printSummary(const Options &opt, const telemetry::Session &session,
         return a.second.wall_us > b.second.wall_us;
     });
 
-    std::printf("== gpmtrace summary: %s on %s (seed %llu, jobs %d) ==\n",
+    std::printf("== gpmtrace summary: %s on %s (seed %llu) ==\n",
                 benchName(*opt.workload).c_str(),
                 platformName(opt.platform).c_str(),
-                static_cast<unsigned long long>(opt.seed),
-                cfg.exec_workers);
+                static_cast<unsigned long long>(opt.seed));
 
     std::printf("\nhottest kernels (traced host wall time):\n");
     const int top = std::min<int>(opt.summary_top,
@@ -172,14 +168,6 @@ printSummary(const Options &opt, const telemetry::Session &session,
                 static_cast<unsigned long long>(line_bytes),
                 line_bytes ? 100.0 * payload / line_bytes : 0.0);
 
-    std::printf("\nworker utilization (block-span busy time over %.1f us "
-                "traced):\n",
-                wall_end_us);
-    for (const auto &[tid, us] : busy_us) {
-        std::printf("  worker %-3u %10.1f us busy (%5.1f%%)\n", tid, us,
-                    wall_end_us > 0 ? 100.0 * us / wall_end_us : 0.0);
-    }
-
     // Tail percentiles of every recorded distribution — the same
     // log2-bin estimator gpmserve's latency accounting uses.
     if (!snap.histograms.empty()) {
@@ -230,7 +218,6 @@ writeMetrics(const std::string &path, const Options &opt,
         w.field("workload", benchKey(*opt.workload));
         w.field("platform", platformKey(opt.platform));
         w.field("seed", opt.seed);
-        w.field("jobs", cfg.exec_workers);
         w.field("media", mediaKey(cfg.media));
         w.field("identities_ok", identities_ok);
         snap.writeFields(w);
@@ -241,10 +228,9 @@ writeMetrics(const std::string &path, const Options &opt,
         error);
 }
 
-} // namespace
-
+/** Parse the flags (malformed numbers throw FatalError) and run. */
 int
-main(int argc, char **argv)
+runTrace(int argc, char **argv)
 {
     Options opt;
     SimConfig cfg = bench::benchConfig();
@@ -284,18 +270,7 @@ main(int argc, char **argv)
             }
             opt.platform = *kind;
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(next("--seed"), nullptr, 10);
-        } else if (a == "--jobs") {
-            const char *v = next("--jobs");
-            const std::optional<int> jobs = parseExecWorkers(v);
-            if (!jobs) {
-                std::fprintf(stderr,
-                             "gpmtrace: invalid --jobs value '%s' "
-                             "(want an integer in [0, %d])\n",
-                             v, kMaxExecWorkers);
-                return 2;
-            }
-            cfg.exec_workers = *jobs;
+            opt.seed = requireU64("--seed", next("--seed"));
         } else if (a == "--media") {
             const char *v = next("--media");
             const std::optional<MediaConfig> m = parseMediaConfig(v);
@@ -313,10 +288,13 @@ main(int argc, char **argv)
             opt.metrics_path = next("--metrics");
         } else if (a == "--summary") {
             opt.summary = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-' &&
-                std::strtol(argv[i + 1], nullptr, 10) > 0)
+            // An optional N follows when the next word is not a flag.
+            if (i + 1 < argc && argv[i + 1][0] != '-') {
+                const std::uint64_t n = requireU64("--summary", argv[++i]);
+                GPM_REQUIRE(n > 0, "--summary: want a positive count");
                 opt.summary_top =
-                    static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+                    static_cast<int>(std::min<std::uint64_t>(n, INT_MAX));
+            }
         } else if (a == "--no-crash") {
             opt.crash_pass = false;
         } else {
@@ -395,4 +373,17 @@ main(int argc, char **argv)
         printSummary(opt, *session, cfg);
 
     return (clean.verified && identities_ok && recovered_ok) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runTrace(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "gpmtrace: %s\n", e.what());
+        return 2;
+    }
 }
