@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <string_view>
 
+#include "common/env.hpp"
 #include "common/status.hpp"
 
 namespace gpm {
@@ -91,21 +93,21 @@ CrashScheduler::enumerate(const CrashGrid &grid)
 CrashSpec
 CrashScheduler::parse(const std::string &token)
 {
-    const auto colon = token.find(':');
-    GPM_REQUIRE(colon != std::string::npos && colon + 1 < token.size(),
-                "crash spec '", token, "': expected <kind>:<value>");
+    constexpr const char *kGrammar =
+        "frac:<f in [0,1]> | before-fence:<n> | after-fence:<n> | "
+        "after-store:<n>, n >= 1";
+    const std::size_t colon = std::min(token.find(':'), token.size());
     const std::string head = token.substr(0, colon);
-    const std::string val = token.substr(colon + 1);
+    const std::string_view val =
+        std::string_view(token).substr(std::min(colon + 1, token.size()));
 
     CrashSpec s;
     if (head == "frac") {
         s.kind = CrashSpec::Kind::Fraction;
-        char *end = nullptr;
-        s.fraction = std::strtod(val.c_str(), &end);
-        GPM_REQUIRE(end && *end == '\0' && s.fraction >= 0.0 &&
-                        s.fraction <= 1.0,
-                    "crash spec '", token,
-                    "': fraction must be in [0, 1]");
+        const std::optional<double> f = parseDecimal(val);
+        if (!f || *f > 1.0)
+            fatal("crash spec '", token, "': want ", kGrammar);
+        s.fraction = *f;
         return s;
     }
     if (head == "before-fence")
@@ -115,13 +117,11 @@ CrashScheduler::parse(const std::string &token)
     else if (head == "after-store")
         s.kind = CrashSpec::Kind::AfterStore;
     else
-        GPM_REQUIRE(false, "crash spec '", token, "': unknown kind '",
-                    head, "'");
-    char *end = nullptr;
-    s.count = std::strtoull(val.c_str(), &end, 10);
-    GPM_REQUIRE(end && *end == '\0' && s.count >= 1,
-                "crash spec '", token,
-                "': event ordinal must be >= 1");
+        fatal("crash spec '", token, "': want ", kGrammar);
+    const std::optional<std::uint64_t> n = parseU64(val);
+    if (!n || *n == 0)
+        fatal("crash spec '", token, "': want ", kGrammar);
+    s.count = *n;
     return s;
 }
 

@@ -5,7 +5,7 @@
  * The paper's central lever is parallelism that hides persist latency
  * (section 4); the reproduction's own dominant wall-clock paths are
  * one level up — thousand-cell sweeps (the crash-torture matrix, the
- * Figure 9/10 grids, simperf's stages) where every cell constructs a
+ * Figure 9/10 grids) where every cell constructs a
  * private Machine + PmPool world and shares nothing. This engine
  * farms those cells across host threads while keeping every report
  * bit-identical to the sequential sweep:

@@ -31,9 +31,9 @@ namespace {
  * (one streaming store) and drain in arrival order at any observation
  * point (closeRuns/bytes/bulk paths) or when a buffer fills. Draining
  * one DIMM's batch walks only that DIMM's StreamRuns table, which
- * holds ~1/N of the streams. BM_NvmModelInterleaved and simperf's
- * media stage measure the host cost; it is about flat across DIMM
- * counts (docs/memsim.md). Replay order per
+ * holds ~1/N of the streams. BM_NvmModelInterleaved measures the
+ * host cost; it is about flat across DIMM counts (docs/memsim.md).
+ * Replay order per
  * DIMM equals arrival order, so at N=1 the single inner model sees
  * exactly the legacy call sequence: totals are bit-identical to
  * NvmModel by construction (the property suite pins this).
@@ -644,9 +644,13 @@ MediaConfig
 mediaFromEnv(const MediaConfig &fallback)
 {
     const char *s = std::getenv("GPM_MEDIA");
-    if (s == nullptr)
+    if (s == nullptr || *s == '\0')
         return fallback;
-    return parseMediaConfig(s).value_or(fallback);
+    const std::optional<MediaConfig> m = parseMediaConfig(s);
+    if (!m)
+        fatal("GPM_MEDIA: unknown media backend '", s, "' (valid: ",
+              mediaUsage(), ")");
+    return *m;
 }
 
 std::unique_ptr<MediaBackend>

@@ -185,7 +185,7 @@ std::optional<MediaConfig> parseMediaConfig(std::string_view key);
 /** Canonical key for @p m (inverse of parseMediaConfig). */
 std::string mediaKey(const MediaConfig &m);
 
-/** The accepted keys, for unknown-backend errors and --help text. */
+/** The accepted keys, for unknown-backend errors. */
 const char *mediaUsage();
 
 /**
@@ -197,9 +197,10 @@ const char *mediaUsage();
 void applyMediaConfig(SimConfig &cfg, const MediaConfig &m);
 
 /**
- * Media selection from the GPM_MEDIA environment variable; unset or
- * unparsable input degrades to @p fallback so a stray environment
- * never breaks a bench run (the execWorkersFromEnv convention).
+ * Media selection from the GPM_MEDIA environment variable: @p fallback
+ * when unset or empty. A malformed key fatal()s naming GPM_MEDIA and the valid
+ * keys, because the media changes every simulated time and a typo
+ * must not silently run nvm.
  */
 MediaConfig mediaFromEnv(const MediaConfig &fallback = MediaConfig{});
 

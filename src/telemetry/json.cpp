@@ -448,8 +448,9 @@ validateJsonFile(const std::string &path,
     for (const std::string &k : required_keys) {
         // Top-level membership check; keys are emitted by JsonWriter,
         // so the quoted-and-colon form is canonical.
-        if (text.find("\"" + JsonWriter::escape(k) + "\":") ==
-            std::string::npos) {
+        std::string quoted = "\"";
+        quoted.append(JsonWriter::escape(k)).append("\":");
+        if (text.find(quoted) == std::string::npos) {
             if (error)
                 *error = path + " lacks required key \"" + k + "\"";
             return false;

@@ -23,8 +23,11 @@ Span::arg(std::string_view key, double v)
 void
 Span::arg(std::string_view key, std::string_view v)
 {
-    if (s_)
-        rawArg(key, "\"" + JsonWriter::escape(v) + "\"");
+    if (!s_)
+        return;
+    std::string quoted = "\"";
+    quoted.append(JsonWriter::escape(v)).append("\"");
+    rawArg(key, quoted);
 }
 
 } // namespace gpm::telemetry

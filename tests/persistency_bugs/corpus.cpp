@@ -749,7 +749,10 @@ makeBugInvariant(const std::string &name)
         return std::make_unique<HostOnlyCommitBug>(fixed);
     if (base == "late-redo")
         return std::make_unique<LateRedoBug>(fixed);
-    fatal("unknown corpus bug '", name, "'");
+    std::string valid;
+    for (const std::string &n : registeredBugs())
+        valid.append(valid.empty() ? "" : ", ").append(n);
+    fatal("unknown corpus bug '", name, "' (valid: ", valid, ")");
 }
 
 } // namespace gpm

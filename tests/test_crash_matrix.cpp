@@ -57,7 +57,8 @@ TEST(CrashScheduler, ParseRoundTripsTheGrammar)
 
     for (const char *bad : {"frac", "frac:1.5", "frac:x",
                             "before-fence:0", "after-fence:",
-                            "mid-kernel:3", ""}) {
+                            "mid-kernel:3", "", "after-store:-1",
+                            "before-fence: 2", "frac:0.5x"}) {
         EXPECT_THROW(CrashScheduler::parse(bad), FatalError)
             << "accepted '" << bad << "'";
     }
@@ -238,11 +239,10 @@ TEST(CrashMatrix, EvictionSeedsChangeSurvivalNotCorrectness)
     EXPECT_GT(survivor_counts.size(), 1u);
 }
 
-TEST(CrashMatrix, SimperfCellsAreBitIdenticalAcrossSweepWidths)
+TEST(CrashMatrix, Fig9CellsAreBitIdenticalAcrossSweepWidths)
 {
-    // simperf's fig9-cells stage asserts exact ops equality across
-    // widths; this is the same contract on every modelled field, on
-    // the two cheapest cells.
+    // Every modelled field of a Figure 9 cell is identical at any
+    // sweep width; checked on the two cheapest cells.
     using namespace gpm::bench;
     const std::vector<BenchCell> cells = {
         {Bench::PrefixSum, PlatformKind::Gpm, 1},

@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "common/rng.hpp"
+#include "common/status.hpp"
 #include "memsim/media_backend.hpp"
 #include "memsim/nvm_model.hpp"
 
@@ -86,11 +87,15 @@ TEST(MediaSelect, CxlSelectionAppliesInterconnectProjection)
     EXPECT_EQ(cfg.pcie_concurrency, cxl.pcie_concurrency);
 }
 
-TEST(MediaSelect, EnvSelectionDegradesOnGarbage)
+TEST(MediaSelect, EnvSelectionRejectsGarbage)
 {
     ::setenv("GPM_MEDIA", "interleaved:8", 1);
     EXPECT_EQ(mediaFromEnv().dimms, 8);
-    ::setenv("GPM_MEDIA", "bogus", 1);
+    for (const char *bad : {"bogus", "interleaved:8x", "nvm "}) {
+        ::setenv("GPM_MEDIA", bad, 1);
+        EXPECT_THROW(mediaFromEnv(), FatalError) << bad;
+    }
+    ::setenv("GPM_MEDIA", "", 1);
     EXPECT_EQ(mediaFromEnv().kind, MediaKind::Nvm);
     ::unsetenv("GPM_MEDIA");
     EXPECT_EQ(mediaFromEnv().kind, MediaKind::Nvm);

@@ -255,7 +255,7 @@ TEST(TelemetryMetrics, RegistryIsThreadSafe)
         pool.emplace_back([&r, t] {
             for (int i = 0; i < 1000; ++i) {
                 r.add("shared.counter", 1);
-                r.add("t" + std::to_string(t), 1);
+                r.add(std::string("t").append(std::to_string(t)), 1);
                 r.observe("shared.hist", i);
             }
         });

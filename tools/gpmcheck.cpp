@@ -24,9 +24,8 @@
  *     --summary-only                  omit the findings table
  *     --list                         print workloads + rule catalog
  *
- * Exit status: 0 = no findings at/above the severity floor, 1 =
- * findings (or a cell error), 2 = usage error (including a malformed
- * number: --jobs and --seed parse strictly, see common/env.hpp).
+ * Exit status (tools/cli.hpp): 0 = no findings at/above the severity
+ * floor, 1 = findings (or a cell error), 2 = usage error.
  *
  * The cells sweep through the harness engine into canonical slots, so
  * the findings, summary, and signature are bit-identical at any
@@ -34,14 +33,12 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/check_runner.hpp"
+#include "cli.hpp"
 #include "common/env.hpp"
 #include "common/status.hpp"
 #include "persistency_bugs/corpus.hpp"
@@ -50,39 +47,11 @@ using namespace gpm;
 
 namespace {
 
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitList(const char *flag, const std::string &s)
-{
-    std::vector<std::string> out = splitCommas(s);
-    GPM_REQUIRE(!out.empty(), flag, ": empty list");
-    return out;
-}
-
-void
-usage()
-{
-    std::printf(
-        "usage: gpmcheck [--workloads w,...] [--domains d,...]\n"
-        "                [--severity info|warn|error] [--witness]\n"
-        "                [--corpus] [--jobs n] [--seed n] [--tsv]\n"
-        "                [--summary-only] [--list]\n");
-}
+constexpr const char *kUsage =
+    "usage: gpmcheck [--workloads w,...] [--domains d,...]\n"
+    "                [--severity info|warn|error] [--witness]\n"
+    "                [--corpus] [--jobs n] [--seed n] [--tsv]\n"
+    "                [--summary-only] [--list]\n";
 
 void
 list()
@@ -110,117 +79,89 @@ list()
         "after-store:<n>\n");
 }
 
+int
+runChecks(cli::Args &a)
+{
+    CheckConfig cfg;
+    cfg.workloads = a.list("--workloads");
+    cfg.domains = a.domains();
+    const Severity floor = parseSeverity(
+        a.value("--severity").value_or("warn"));
+    cfg.confirm_witnesses = a.has("--witness");
+    const bool corpus = a.has("--corpus");
+    cfg.jobs = a.jobs(execWorkersFromEnv(cfg.jobs));
+    cfg.seed = a.u64("--seed", cfg.seed);
+    const bool tsv = a.has("--tsv");
+    const bool summary_only = a.has("--summary-only");
+    const bool list_only = a.has("--list");
+    if (corpus) {
+        cfg.factory = makeBugInvariant;
+        if (cfg.workloads.empty())
+            cfg.workloads = registeredBugs();
+    }
+    cfg.confirm_floor = floor;
+    // Unknown names fail here, naming the valid set.
+    for (const std::string &w : cfg.workloads)
+        (corpus ? makeBugInvariant : makeInvariant)(w);
+    a.done();
+    if (list_only) {
+        list();
+        return 0;
+    }
+
+    CheckConfig counted = cfg;
+    counted.applyDefaults();
+    std::printf("analyzing %zu workload x domain cells "
+                "(--jobs %d%s)...\n",
+                counted.workloads.size() * counted.domains.size(),
+                cfg.jobs,
+                cfg.confirm_witnesses ? ", witness replay on" : "");
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const CheckReport report = runCheck(cfg);
+    const double wall_s =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+
+    if (!summary_only) {
+        Table t = report.table(floor);
+        if (t.rows() != 0) {
+            if (tsv)
+                t.printTsv(std::cout);
+            else
+                t.print(std::cout);
+            std::printf("\n");
+        }
+    }
+    report.summary().print(std::cout);
+
+    std::size_t errors = 0;
+    for (const CheckCell &c : report.cells)
+        if (!c.error.empty())
+            ++errors;
+    const std::size_t flagged = report.findingsAtLeast(floor);
+    std::printf("\ncells: %zu  findings>=%s: %zu  confirmed: %zu"
+                "  cell-errors: %zu\n",
+                report.cells.size(), severityName(floor), flagged,
+                report.confirmed(), errors);
+    std::printf("signature: %016llx\n",
+                static_cast<unsigned long long>(
+                    report.signature()));
+    std::printf("check wall: %.3f s  (%zu cells, --jobs %d)\n",
+                wall_s, report.cells.size(), cfg.jobs);
+
+    for (const CheckCell &c : report.cells)
+        if (!c.error.empty())
+            std::printf("CELL ERROR %s: %s\n",
+                        c.scenario.key().c_str(), c.error.c_str());
+    return (flagged != 0 || errors != 0) ? 1 : 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CheckConfig cfg;
-    cfg.jobs = execWorkersFromEnv(cfg.jobs);
-    Severity floor = Severity::Warn;
-    bool corpus = false;
-    bool tsv = false;
-    bool summary_only = false;
-
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    usage();
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--workloads") {
-                cfg.workloads = splitList("--workloads", value());
-            } else if (arg == "--domains") {
-                for (const std::string &d :
-                     splitList("--domains", value()))
-                    cfg.domains.push_back(parsePersistDomain(d));
-            } else if (arg == "--severity") {
-                floor = parseSeverity(value());
-            } else if (arg == "--witness") {
-                cfg.confirm_witnesses = true;
-            } else if (arg == "--corpus") {
-                corpus = true;
-            } else if (arg == "--jobs") {
-                cfg.jobs = requireExecWorkers("--jobs", value());
-            } else if (arg == "--seed") {
-                cfg.seed = requireU64("--seed", value());
-            } else if (arg == "--tsv") {
-                tsv = true;
-            } else if (arg == "--summary-only") {
-                summary_only = true;
-            } else if (arg == "--list") {
-                list();
-                return 0;
-            } else {
-                usage();
-                return 2;
-            }
-        }
-
-        if (corpus) {
-            cfg.factory = makeBugInvariant;
-            if (cfg.workloads.empty())
-                cfg.workloads = registeredBugs();
-        }
-        cfg.confirm_floor = floor;
-
-        // Validate names before the sweep starts.
-        for (const std::string &w : cfg.workloads)
-            (corpus ? makeBugInvariant : makeInvariant)(w);
-
-        CheckConfig counted = cfg;
-        counted.applyDefaults();
-        std::printf("analyzing %zu workload x domain cells "
-                    "(--jobs %d%s)...\n",
-                    counted.workloads.size() * counted.domains.size(),
-                    cfg.jobs,
-                    cfg.confirm_witnesses ? ", witness replay on" : "");
-
-        const auto t0 = std::chrono::steady_clock::now();
-        const CheckReport report = runCheck(cfg);
-        const double wall_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-
-        if (!summary_only) {
-            Table t = report.table(floor);
-            if (t.rows() != 0) {
-                if (tsv)
-                    t.printTsv(std::cout);
-                else
-                    t.print(std::cout);
-                std::printf("\n");
-            }
-        }
-        report.summary().print(std::cout);
-
-        std::size_t errors = 0;
-        for (const CheckCell &c : report.cells)
-            if (!c.error.empty())
-                ++errors;
-        const std::size_t flagged = report.findingsAtLeast(floor);
-        std::printf("\ncells: %zu  findings>=%s: %zu  confirmed: %zu"
-                    "  cell-errors: %zu\n",
-                    report.cells.size(), severityName(floor), flagged,
-                    report.confirmed(), errors);
-        std::printf("signature: %016llx\n",
-                    static_cast<unsigned long long>(
-                        report.signature()));
-        std::printf("check wall: %.3f s  (%zu cells, --jobs %d)\n",
-                    wall_s, report.cells.size(), cfg.jobs);
-
-        for (const CheckCell &c : report.cells)
-            if (!c.error.empty())
-                std::printf("CELL ERROR %s: %s\n",
-                            c.scenario.key().c_str(), c.error.c_str());
-        return (flagged != 0 || errors != 0) ? 1 : 0;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "gpmcheck: %s\n", e.what());
-        return 2;
-    }
+    return cli::run("gpmcheck", kUsage, argc, argv, runChecks);
 }

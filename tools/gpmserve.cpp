@@ -6,7 +6,7 @@
  *     gpmserve [--seed N] [--jobs N] [--media M]
  *              [--out BENCH_serve.json]
  *
- * Four stages, all on virtual time:
+ * Five stages, all on virtual time:
  *
  *  1. amortization — sweep the dynamic batcher's batch_max over
  *     {32, 128, 512, 2048, 8192} under one fixed closed-loop offered
@@ -23,27 +23,26 @@
  *  4. crash — arm a mid-traffic power failure, then assert the crash
  *     fired, recovery ran on every shard, and zero acknowledged
  *     writes were lost.
+ *  5. variable-size — GpmHeap-backed values from 16 to 4096 B, with
+ *     its own width check and mixed-size crash leg.
  *
  * The JSON artifact is the uniform gpm-metrics-v1 envelope with the
  * stage tables spliced in, and is schema-validated after writing.
  * Every stage result folds into one bench signature (printed and in
  * the JSON) that is invariant under --jobs, so CI pins it once and
- * compares across widths. --seed and --jobs parse strictly
- * (common/env.hpp): malformed numbers exit 2.
+ * compares across widths. Arguments and exit codes follow
+ * tools/cli.hpp; a failed stage gate exits 1.
  */
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
+#include "cli.hpp"
 #include "common/hash.hpp"
 #include "common/status.hpp"
-#include "crashtest/crash_scheduler.hpp"
-#include "memsim/media_backend.hpp"
 #include "service/serve_engine.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
@@ -53,29 +52,19 @@ using namespace gpm;
 namespace {
 
 struct Options {
-    std::uint64_t seed = 42;
-    int jobs = 4;
-    MediaConfig media{};
+    ServeConfig base;  ///< seed, jobs and media every stage starts from
     std::string out_path = "BENCH_serve.json";
 };
 
-int
-usage()
-{
-    std::printf(
-        "gpmserve — KVS serving engine benchmark (BENCH_serve.json)\n\n"
-        "  gpmserve [--seed N] [--jobs N] [--media M] [--out FILE]\n\n"
-        "--jobs N:  sweep lanes for parallel batch flushes\n"
-        "--media M: PM media backend (%s)\n"
-        "stages: amortization (batch_max sweep, >=5x asserted),\n"
-        "        load-latency (think x shards grid, p50/p99/p999),\n"
-        "        determinism (widths 1/2/4/8 bit-identical),\n"
-        "        crash (mid-traffic power failure, zero acked loss),\n"
-        "        variable-size (GpmHeap values 16 -> 4096 B, oracle-\n"
-        "        checked acks, width-pinned, crash + heap recovery)\n",
-        mediaUsage());
-    return 2;
-}
+constexpr const char *kUsage =
+    "usage: gpmserve [--seed N] [--jobs N] [--media M] [--out FILE]\n"
+    "--jobs N:  sweep lanes for parallel batch flushes\n"
+    "stages: amortization (batch_max sweep, >=5x asserted),\n"
+    "        load-latency (think x shards grid, p50/p99/p999),\n"
+    "        determinism (widths 1/2/4/8 bit-identical),\n"
+    "        crash (mid-traffic power failure, zero acked loss),\n"
+    "        variable-size (GpmHeap values 16 -> 4096 B, oracle-\n"
+    "        checked acks, width-pinned, crash + heap recovery)\n";
 
 std::string
 hex64(std::uint64_t v)
@@ -116,12 +105,12 @@ struct VarRow {
 
 /** Stage 1: fixed offered load, batch_max sweep. */
 std::vector<AmortRow>
-runAmortization(const Options &opt)
+runAmortization(const ServeConfig &base)
 {
     telemetry::Span span("serve", "stage_amortization");
     std::vector<AmortRow> rows;
     for (const std::uint32_t bmax : {32u, 128u, 512u, 2048u, 8192u}) {
-        ServeConfig sc;
+        ServeConfig sc = base;
         // One pipeline: the batch-size axis needs full batches at
         // 8192, and a closed-loop population split across shards
         // drains a single shard's queue below that after each ack
@@ -146,9 +135,6 @@ runAmortization(const Options &opt)
         // same-set conflict deferral, is what this stage measures.
         sc.dist = KeyDistKind::Uniform;
         sc.key_space = 1u << 20;
-        sc.seed = opt.seed;
-        sc.jobs = opt.jobs;
-        sc.media = opt.media;
         rows.push_back({bmax, ServiceEngine(sc).run()});
         const ServeReport &r = rows.back().rep;
         std::printf("gpmserve: batch_max=%-5u %8.3f Mops  "
@@ -183,13 +169,13 @@ runAmortization(const Options &opt)
 
 /** Stage 2: offered-load (think time) x shard-count grid. */
 std::vector<LoadRow>
-runLoadLatency(const Options &opt)
+runLoadLatency(const ServeConfig &base)
 {
     telemetry::Span span("serve", "stage_load_latency");
     std::vector<LoadRow> rows;
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
         for (const double think : {0.0, 50000.0, 200000.0, 800000.0}) {
-            ServeConfig sc;
+            ServeConfig sc = base;
             sc.shards = shards;
             sc.n_sets = 1u << 13;
             sc.clients = 2048;
@@ -204,9 +190,6 @@ runLoadLatency(const Options &opt)
             // the zipfian stages' and tests' subject, not this grid's.
             sc.dist = KeyDistKind::Uniform;
             sc.key_space = 1u << 18;
-            sc.seed = opt.seed;
-            sc.jobs = opt.jobs;
-            sc.media = opt.media;
             rows.push_back({shards, think, ServiceEngine(sc).run()});
             GPM_REQUIRE(rows.back().rep.oracle_failures == 0,
                         "load-latency stage: oracle failures at ",
@@ -216,46 +199,96 @@ runLoadLatency(const Options &opt)
     return rows;
 }
 
-/** Stage 3: widths 1/2/4/8 must be bit-identical. */
+/**
+ * The small zipfian mix of the determinism and variable-size stages:
+ * two shards, 512 clients, 8192 requests.
+ */
+ServeConfig
+smallMix(const ServeConfig &base)
+{
+    ServeConfig sc = base;
+    sc.shards = 2;
+    sc.n_sets = 1u << 12;
+    sc.clients = 512;
+    sc.requests = 8192;
+    sc.batch_max = 256;
+    sc.batch_deadline_ns = 20000;
+    sc.queue_depth = 1024;
+    sc.think_ns = 2000;
+    sc.get_ratio = 0.5;
+    sc.del_ratio = 0.05;
+    sc.dist = KeyDistKind::Zipfian;
+    sc.key_space = 1u << 16;
+    return sc;
+}
+
+/**
+ * The mid-traffic power failure of the crash stage and the
+ * variable-size crash leg (values of @p value_bytes_min to
+ * @p value_bytes_max; 0 keeps the fixed-size path): it must fire,
+ * recover every shard and lose no acknowledged write.
+ */
 ServeReport
-runDeterminism(const Options &opt, bool *ok)
+runCrash(const ServeConfig &base, const char *stage,
+         std::uint32_t value_bytes_min, std::uint32_t value_bytes_max)
+{
+    ServeConfig sc = base;
+    sc.shards = 2;
+    sc.n_sets = 1u << 9;
+    sc.clients = 512;
+    sc.requests = 4096;
+    sc.batch_max = 64;
+    sc.batch_deadline_ns = 1e6;
+    sc.queue_depth = 256;
+    sc.think_ns = 0.0;
+    sc.get_ratio = 0.3;
+    sc.del_ratio = 0.1;
+    sc.key_space = 1u << 12;
+    sc.value_bytes_min = value_bytes_min;
+    sc.value_bytes_max = value_bytes_max;
+    sc.crash_at_launch = 6;
+    CrashSpec spec;
+    spec.kind = CrashSpec::Kind::Fraction;
+    spec.fraction = 0.6;
+    sc.crash_point = spec.materialize(std::uint64_t(sc.batch_max) *
+                                      GpKvsParams::kGroup);
+    sc.survive_prob = 0.5;
+    const ServeReport r = ServiceEngine(sc).run();
+    GPM_REQUIRE(r.crash_fired, stage, ": armed point never fired");
+    GPM_REQUIRE(r.recovery_ran, stage, ": recovery never ran");
+    GPM_REQUIRE(r.durable_ok, stage,
+                ": acknowledged writes were lost");
+    GPM_REQUIRE(r.oracle_failures == 0, stage, ": oracle failures");
+    return r;
+}
+
+/**
+ * Stage 3: widths 1/2/4/8 must be bit-identical; a divergence throws.
+ */
+ServeReport
+runDeterminism(const ServeConfig &base)
 {
     telemetry::Span span("serve", "stage_determinism");
-    ServeReport base;
-    *ok = true;
-    const int widths[] = {1, 2, 4, 8};
-    for (std::size_t i = 0; i < 4; ++i) {
-        ServeConfig sc;
-        sc.shards = 2;
-        sc.n_sets = 1u << 12;
-        sc.clients = 512;
-        sc.requests = 8192;
-        sc.batch_max = 256;
-        sc.batch_deadline_ns = 20000;
-        sc.queue_depth = 1024;
-        sc.think_ns = 2000;
-        sc.dist = KeyDistKind::Zipfian;
-        sc.key_space = 1u << 16;
-        sc.seed = opt.seed;
-        sc.jobs = widths[i];
-        sc.media = opt.media;
+    ServeReport ref;
+    for (const int width : {1, 2, 4, 8}) {
+        ServeConfig sc = smallMix(base);
+        sc.jobs = width;
         const ServeReport r = ServiceEngine(sc).run();
-        if (i == 0) {
-            base = r;
+        if (width == 1) {
+            ref = r;
             continue;
         }
-        GPM_REQUIRE(r.ack_signature == base.ack_signature,
-                    "ack stream diverged at width ", widths[i], ": ",
+        GPM_REQUIRE(r.ack_signature == ref.ack_signature,
+                    "ack stream diverged at width ", width, ": ",
                     hex64(r.ack_signature), " != ",
-                    hex64(base.ack_signature));
-        GPM_REQUIRE(r.signature() == base.signature(),
-                    "report signature diverged at width ", widths[i],
-                    ": ", hex64(r.signature()), " != ",
-                    hex64(base.signature()));
+                    hex64(ref.ack_signature));
+        GPM_REQUIRE(r.signature() == ref.signature(),
+                    "report signature diverged at width ", width, ": ",
+                    hex64(r.signature()), " != ", hex64(ref.signature()));
     }
-    GPM_REQUIRE(base.oracle_failures == 0,
+    GPM_REQUIRE(ref.oracle_failures == 0,
                 "determinism stage: oracle failures");
-    return base;
+    return ref;
 }
 
 /**
@@ -270,27 +303,12 @@ runDeterminism(const Options &opt, bool *ok)
  * lose no acknowledged write through GpmHeap::recover().
  */
 std::vector<VarRow>
-runVariableSize(const Options &opt, ServeReport *crash_out)
+runVariableSize(const ServeConfig &base, ServeReport *crash_out)
 {
     telemetry::Span span("serve", "stage_variable_size");
     std::vector<VarRow> rows;
     for (const std::uint32_t vb : {16u, 64u, 256u, 1024u, 4096u}) {
-        ServeConfig sc;
-        sc.shards = 2;
-        sc.n_sets = 1u << 12;
-        sc.clients = 512;
-        sc.requests = 8192;
-        sc.batch_max = 256;
-        sc.batch_deadline_ns = 20000;
-        sc.queue_depth = 1024;
-        sc.think_ns = 2000;
-        sc.get_ratio = 0.5;
-        sc.del_ratio = 0.05;
-        sc.dist = KeyDistKind::Zipfian;
-        sc.key_space = 1u << 16;
-        sc.seed = opt.seed;
-        sc.jobs = opt.jobs;
-        sc.media = opt.media;
+        ServeConfig sc = smallMix(base);
         sc.value_bytes_min = vb;
         sc.value_bytes_max = vb;
         rows.push_back({vb, ServiceEngine(sc).run()});
@@ -324,76 +342,8 @@ runVariableSize(const Options &opt, ServeReport *crash_out)
 
     // Mixed-size mid-traffic power failure: GpmHeap::recover() must
     // reconcile every shard with zero acknowledged-write loss.
-    ServeConfig cc;
-    cc.shards = 2;
-    cc.n_sets = 1u << 9;
-    cc.clients = 512;
-    cc.requests = 4096;
-    cc.batch_max = 64;
-    cc.batch_deadline_ns = 1e6;
-    cc.queue_depth = 256;
-    cc.think_ns = 0.0;
-    cc.get_ratio = 0.3;
-    cc.del_ratio = 0.1;
-    cc.key_space = 1u << 12;
-    cc.seed = opt.seed;
-    cc.jobs = opt.jobs;
-    cc.media = opt.media;
-    cc.value_bytes_min = 16;
-    cc.value_bytes_max = 4096;
-    cc.crash_at_launch = 6;
-    CrashSpec spec;
-    spec.kind = CrashSpec::Kind::Fraction;
-    spec.fraction = 0.6;
-    cc.crash_point = spec.materialize(std::uint64_t(cc.batch_max) *
-                                      GpKvsParams::kGroup);
-    cc.survive_prob = 0.5;
-    *crash_out = ServiceEngine(cc).run();
-    GPM_REQUIRE(crash_out->crash_fired,
-                "variable-size crash: armed point never fired");
-    GPM_REQUIRE(crash_out->recovery_ran,
-                "variable-size crash: recovery never ran");
-    GPM_REQUIRE(crash_out->durable_ok,
-                "variable-size crash: acknowledged writes were lost");
-    GPM_REQUIRE(crash_out->oracle_failures == 0,
-                "variable-size crash: oracle failures");
+    *crash_out = runCrash(base, "variable-size crash", 16, 4096);
     return rows;
-}
-
-/** Stage 4: mid-traffic power failure, zero acked-write loss. */
-ServeReport
-runCrashSmoke(const Options &opt)
-{
-    telemetry::Span span("serve", "stage_crash");
-    ServeConfig sc;
-    sc.shards = 2;
-    sc.n_sets = 1u << 9;
-    sc.clients = 512;
-    sc.requests = 4096;
-    sc.batch_max = 64;
-    sc.batch_deadline_ns = 1e6;
-    sc.queue_depth = 256;
-    sc.think_ns = 0.0;
-    sc.get_ratio = 0.3;
-    sc.del_ratio = 0.1;
-    sc.key_space = 1u << 12;
-    sc.seed = opt.seed;
-    sc.jobs = opt.jobs;
-    sc.media = opt.media;
-    sc.crash_at_launch = 6;
-    CrashSpec spec;
-    spec.kind = CrashSpec::Kind::Fraction;
-    spec.fraction = 0.6;
-    sc.crash_point = spec.materialize(std::uint64_t(sc.batch_max) *
-                                      GpKvsParams::kGroup);
-    sc.survive_prob = 0.5;
-    const ServeReport r = ServiceEngine(sc).run();
-    GPM_REQUIRE(r.crash_fired, "crash stage: armed point never fired");
-    GPM_REQUIRE(r.recovery_ran, "crash stage: recovery never ran");
-    GPM_REQUIRE(r.durable_ok,
-                "crash stage: acknowledged writes were lost");
-    GPM_REQUIRE(r.oracle_failures == 0, "crash stage: oracle failures");
-    return r;
 }
 
 void
@@ -422,7 +372,7 @@ writeReportFields(telemetry::JsonWriter &w, const ServeReport &r)
 bool
 writeBench(const Options &opt, const std::vector<AmortRow> &amort,
            const std::vector<LoadRow> &load, const ServeReport &det,
-           bool det_ok, const ServeReport &crash,
+           const ServeReport &crash,
            const std::vector<VarRow> &var, const ServeReport &var_crash,
            std::uint64_t bench_sig, const telemetry::Session &session,
            std::string *error)
@@ -437,9 +387,9 @@ writeBench(const Options &opt, const std::vector<AmortRow> &amort,
         w.beginObject();
         w.field("schema", "gpm-metrics-v1");
         w.field("tool", "gpmserve");
-        w.field("seed", opt.seed);
-        w.field("jobs", opt.jobs);
-        w.field("media", mediaKey(opt.media));
+        w.field("seed", opt.base.seed);
+        w.field("jobs", opt.base.jobs);
+        w.field("media", mediaKey(opt.base.media));
         w.field("bench_signature", hex64(bench_sig));
 
         w.key("amortization");
@@ -471,7 +421,7 @@ writeBench(const Options &opt, const std::vector<AmortRow> &amort,
         w.key("determinism");
         w.beginObject();
         w.field("widths", "1,2,4,8");
-        w.field("ok", det_ok);
+        w.field("ok", true);  // runDeterminism threw otherwise
         w.field("signature", hex64(det.signature()));
         writeReportFields(w, det);
         w.endObject();
@@ -524,126 +474,93 @@ writeBench(const Options &opt, const std::vector<AmortRow> &amort,
         error);
 }
 
-/** Parse the flags (malformed numbers throw FatalError) and run. */
 int
-runServe(int argc, char **argv)
+runServe(cli::Args &a)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "gpmserve: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--seed") {
-            opt.seed = requireU64("--seed", next("--seed"));
-        } else if (a == "--jobs") {
-            opt.jobs = requireExecWorkers("--jobs", next("--jobs"));
-        } else if (a == "--media") {
-            const char *v = next("--media");
-            const std::optional<MediaConfig> m = parseMediaConfig(v);
-            if (!m) {
-                std::fprintf(stderr,
-                             "gpmserve: unknown media backend '%s' "
-                             "(valid: %s)\n",
-                             v, mediaUsage());
-                return 2;
-            }
-            opt.media = *m;
-        } else if (a == "--out") {
-            opt.out_path = next("--out");
-        } else {
-            std::fprintf(stderr, "gpmserve: unknown argument '%s'\n",
-                         a.c_str());
-            return usage();
-        }
+    opt.base.seed = a.u64("--seed", opt.base.seed);
+    opt.base.jobs = std::max(1, a.jobs(4));
+    opt.base.media = a.media().value_or(opt.base.media);
+    opt.out_path = a.value("--out").value_or(opt.out_path);
+    a.done();
+
+    telemetry::ScopedSession session;
+
+    const std::vector<AmortRow> amort = runAmortization(opt.base);
+    std::printf("gpmserve: amortization %.3f -> %.3f Mops "
+                "(%.1fx over batch 32 -> 8192)\n",
+                amort.front().rep.throughput_mops,
+                amort.back().rep.throughput_mops,
+                amort.back().rep.throughput_mops /
+                    amort.front().rep.throughput_mops);
+
+    const std::vector<LoadRow> load = runLoadLatency(opt.base);
+    for (const LoadRow &row : load)
+        std::printf("gpmserve: shards=%u think=%-7.0f "
+                    "%8.3f Mops  p50 %8.0f  p99 %8.0f  "
+                    "p999 %8.0f ns\n",
+                    row.shards, row.think_ns,
+                    row.rep.throughput_mops, row.rep.latency.p50(),
+                    row.rep.latency.p99(), row.rep.latency.p999());
+
+    const ServeReport det = runDeterminism(opt.base);
+    std::printf("gpmserve: determinism widths 1/2/4/8 ok, "
+                "ack-signature %s\n",
+                hex64(det.ack_signature).c_str());
+
+    ServeReport crash;
+    {
+        telemetry::Span span("serve", "stage_crash");
+        crash = runCrash(opt.base, "crash stage", 0, 0);
     }
-    if (opt.jobs < 1)
-        opt.jobs = 1;
+    std::printf("gpmserve: crash fired=%d recovered=%d "
+                "durable_ok=%d\n",
+                crash.crash_fired, crash.recovery_ran,
+                crash.durable_ok);
 
-    try {
-        telemetry::ScopedSession session;
+    ServeReport var_crash;
+    const std::vector<VarRow> var =
+        runVariableSize(opt.base, &var_crash);
+    std::printf("gpmserve: variable-size 16 B -> 4096 B slowdown "
+                "%.1fx, crash fired=%d recovered=%d "
+                "durable_ok=%d\n",
+                var.front().rep.throughput_mops /
+                    var.back().rep.throughput_mops,
+                var_crash.crash_fired, var_crash.recovery_ran,
+                var_crash.durable_ok);
 
-        const std::vector<AmortRow> amort = runAmortization(opt);
-        std::printf("gpmserve: amortization %.3f -> %.3f Mops "
-                    "(%.1fx over batch 32 -> 8192)\n",
-                    amort.front().rep.throughput_mops,
-                    amort.back().rep.throughput_mops,
-                    amort.back().rep.throughput_mops /
-                        amort.front().rep.throughput_mops);
+    // One order-stable fingerprint over every stage: identical at
+    // any --jobs width, so CI pins it once.
+    std::uint64_t sig = kFnvOffset;
+    for (const AmortRow &row : amort) {
+        sig = fnv1aU64(row.batch_max, sig);
+        sig = fnv1aU64(row.rep.signature(), sig);
+    }
+    for (const LoadRow &row : load) {
+        sig = fnv1aU64(row.shards, sig);
+        sig = fnv1aU64(bitsOf(row.think_ns), sig);
+        sig = fnv1aU64(row.rep.signature(), sig);
+    }
+    sig = fnv1aU64(det.signature(), sig);
+    sig = fnv1aU64(crash.signature(), sig);
+    for (const VarRow &row : var) {
+        sig = fnv1aU64(row.value_bytes, sig);
+        sig = fnv1aU64(row.rep.signature(), sig);
+    }
+    sig = fnv1aU64(var_crash.signature(), sig);
+    std::printf("gpmserve: bench-signature %s\n",
+                hex64(sig).c_str());
 
-        const std::vector<LoadRow> load = runLoadLatency(opt);
-        for (const LoadRow &row : load)
-            std::printf("gpmserve: shards=%u think=%-7.0f "
-                        "%8.3f Mops  p50 %8.0f  p99 %8.0f  "
-                        "p999 %8.0f ns\n",
-                        row.shards, row.think_ns,
-                        row.rep.throughput_mops, row.rep.latency.p50(),
-                        row.rep.latency.p99(), row.rep.latency.p999());
-
-        bool det_ok = false;
-        const ServeReport det = runDeterminism(opt, &det_ok);
-        std::printf("gpmserve: determinism widths 1/2/4/8 ok, "
-                    "ack-signature %s\n",
-                    hex64(det.ack_signature).c_str());
-
-        const ServeReport crash = runCrashSmoke(opt);
-        std::printf("gpmserve: crash fired=%d recovered=%d "
-                    "durable_ok=%d\n",
-                    crash.crash_fired, crash.recovery_ran,
-                    crash.durable_ok);
-
-        ServeReport var_crash;
-        const std::vector<VarRow> var =
-            runVariableSize(opt, &var_crash);
-        std::printf("gpmserve: variable-size 16 B -> 4096 B slowdown "
-                    "%.1fx, crash fired=%d recovered=%d "
-                    "durable_ok=%d\n",
-                    var.front().rep.throughput_mops /
-                        var.back().rep.throughput_mops,
-                    var_crash.crash_fired, var_crash.recovery_ran,
-                    var_crash.durable_ok);
-
-        // One order-stable fingerprint over every stage: identical at
-        // any --jobs width, so CI pins it once.
-        std::uint64_t sig = kFnvOffset;
-        for (const AmortRow &row : amort) {
-            sig = fnv1aU64(row.batch_max, sig);
-            sig = fnv1aU64(row.rep.signature(), sig);
-        }
-        for (const LoadRow &row : load) {
-            sig = fnv1aU64(row.shards, sig);
-            sig = fnv1aU64(bitsOf(row.think_ns), sig);
-            sig = fnv1aU64(row.rep.signature(), sig);
-        }
-        sig = fnv1aU64(det.signature(), sig);
-        sig = fnv1aU64(crash.signature(), sig);
-        for (const VarRow &row : var) {
-            sig = fnv1aU64(row.value_bytes, sig);
-            sig = fnv1aU64(row.rep.signature(), sig);
-        }
-        sig = fnv1aU64(var_crash.signature(), sig);
-        std::printf("gpmserve: bench-signature %s\n",
-                    hex64(sig).c_str());
-
-        std::string error;
-        if (!writeBench(opt, amort, load, det, det_ok, crash, var,
-                        var_crash, sig, *session, &error)) {
-            std::fprintf(stderr,
-                         "gpmserve: artifact validation failed: %s\n",
-                         error.c_str());
-            return 1;
-        }
-        std::printf("gpmserve: wrote %s\n", opt.out_path.c_str());
-        return 0;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "gpmserve: FAILED: %s\n", e.what());
+    std::string error;
+    if (!writeBench(opt, amort, load, det, crash, var,
+                    var_crash, sig, *session, &error)) {
+        std::fprintf(stderr,
+                     "gpmserve: artifact validation failed: %s\n",
+                     error.c_str());
         return 1;
     }
+    std::printf("gpmserve: wrote %s\n", opt.out_path.c_str());
+    return 0;
 }
 
 } // namespace
@@ -651,10 +568,5 @@ runServe(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return runServe(argc, argv);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "gpmserve: %s\n", e.what());
-        return 2;
-    }
+    return cli::run("gpmserve", kUsage, argc, argv, runServe);
 }

@@ -16,6 +16,7 @@
  *     --survive   0.0,0.5             line-survival probabilities
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
+ *     --media     M                   PM media backend (default nvm)
  *     --scale                         CrashGrid::fine() + 12 seeds:
  *                                     the 10k+ scenario grid
  *     --tsv                           tab-separated full table
@@ -29,67 +30,30 @@
  *
  * Crash-point grammar: frac:<f in [0,1]> | before-fence:<n> |
  * after-fence:<n> | after-store:<n> (event ordinals are 1-based and
- * global to the doomed kernel launch). Seeds, survive probabilities
- * and --jobs parse strictly (common/env.hpp): malformed numbers exit 2.
+ * global to the doomed kernel launch). Arguments and exit codes
+ * follow tools/cli.hpp; a VIOLATION exits 1.
  */
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/env.hpp"
 #include "common/status.hpp"
 #include "crashtest/torture_runner.hpp"
-#include "memsim/media_backend.hpp"
 
 using namespace gpm;
 
 namespace {
 
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/**
- * Split a list-valued flag, rejecting an empty value: an empty list
- * would silently fall back to the flag's default axis (for --seeds,
- * the full 1200-scenario sweep), which is never what a caller who
- * passed the flag meant.
- */
-std::vector<std::string>
-splitList(const char *flag, const std::string &s)
-{
-    std::vector<std::string> out = splitCommas(s);
-    GPM_REQUIRE(!out.empty(), flag, ": empty list");
-    return out;
-}
-
-void
-usage()
-{
-    std::printf(
-        "usage: gpmtorture [--workloads w,...] [--domains d,...]\n"
-        "                  [--points p,...] [--seeds s,...]\n"
-        "                  [--survive f,...] [--jobs n] [--media m]\n"
-        "                  [--scale] [--tsv] [--summary-only] [--list]\n");
-}
+constexpr const char *kUsage =
+    "usage: gpmtorture [--workloads w,...] [--domains d,...]\n"
+    "                  [--points p,...] [--seeds s,...]\n"
+    "                  [--survive f,...] [--jobs n] [--media m]\n"
+    "                  [--scale] [--tsv] [--summary-only] [--list]\n";
 
 void
 list()
@@ -112,138 +76,99 @@ list()
     std::printf("\n");
 }
 
+int
+runTorture(cli::Args &a)
+{
+    TortureConfig cfg;
+    cfg.workloads = a.list("--workloads");
+    for (const std::string &w : cfg.workloads)
+        makeInvariant(w);  // names the valid set when unknown
+    cfg.domains = a.domains();
+    cfg.specs = a.points();
+    for (const std::string &s : a.list("--seeds"))
+        cfg.seeds.push_back(requireU64("--seeds", s));
+    for (const std::string &s : a.list("--survive")) {
+        const double p = requireDecimal("--survive", s);
+        if (p > 1.0)
+            fatal("--survive: want a probability in [0, 1], got '", s,
+                  "'");
+        cfg.survive_probs.push_back(p);
+    }
+    cfg.jobs = a.jobs(execWorkersFromEnv(cfg.jobs));
+    cfg.media = a.media().value_or(cfg.media);
+    const bool scale = a.has("--scale");
+    const bool tsv = a.has("--tsv");
+    const bool summary_only = a.has("--summary-only");
+    const bool list_only = a.has("--list");
+    a.done();
+    if (list_only) {
+        list();
+        return 0;
+    }
+
+    // --scale widens the spec and seed axes to the 10k+ grid unless
+    // the caller pinned them explicitly.
+    if (scale) {
+        if (cfg.specs.empty())
+            cfg.specs = CrashScheduler::enumerate(CrashGrid::fine());
+        if (cfg.seeds.empty())
+            for (std::uint64_t s = 1; s <= 12; ++s)
+                cfg.seeds.push_back(s);
+    }
+
+    TortureConfig counted = cfg;
+    counted.applyDefaults();
+    std::printf("sweeping %zu crash scenarios (--jobs %d, "
+                "--media %s)...\n",
+                counted.scenarioCount(), cfg.jobs,
+                mediaKey(cfg.media).c_str());
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const TortureReport report = TortureRunner::run(cfg);
+    const double wall_s =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    if (!summary_only) {
+        if (tsv)
+            report.table().printTsv(std::cout);
+        else
+            report.table().print(std::cout);
+        std::printf("\n");
+    }
+    report.summary().print(std::cout);
+    const std::array<std::size_t, 4> counts =
+        report.classCounts();
+    std::printf("\nscenarios: %zu  strict-ok: %zu  ddio-trap: %zu"
+                "  not-fired: %zu  violations: %zu\n",
+                report.results.size(),
+                counts[static_cast<int>(OutcomeClass::StrictOk)],
+                counts[static_cast<int>(OutcomeClass::DdioTrap)],
+                counts[static_cast<int>(OutcomeClass::NotFired)],
+                counts[static_cast<int>(OutcomeClass::Violation)]);
+    std::printf("signature: %016llx\n",
+                static_cast<unsigned long long>(
+                    report.signature()));
+    std::printf("sweep wall: %.3f s  (%zu scenarios, --jobs %d, "
+                "%.0f scenarios/s)\n",
+                wall_s, report.results.size(), cfg.jobs,
+                wall_s > 0 ? report.results.size() / wall_s : 0.0);
+
+    if (counts[static_cast<int>(OutcomeClass::Violation)] != 0) {
+        for (const TortureResult &r : report.results) {
+            if (r.cls == OutcomeClass::Violation)
+                std::printf("VIOLATION %s: %s\n", r.key().c_str(),
+                            r.detail.c_str());
+        }
+        return 1;
+    }
+    return 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    TortureConfig cfg;
-    cfg.jobs = execWorkersFromEnv(cfg.jobs);
-    bool tsv = false;
-    bool summary_only = false;
-    bool scale = false;
-
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    usage();
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--workloads") {
-                cfg.workloads = splitList("--workloads", value());
-            } else if (arg == "--domains") {
-                for (const std::string &d :
-                     splitList("--domains", value()))
-                    cfg.domains.push_back(parsePersistDomain(d));
-            } else if (arg == "--points") {
-                for (const std::string &p :
-                     splitList("--points", value()))
-                    cfg.specs.push_back(CrashScheduler::parse(p));
-            } else if (arg == "--seeds") {
-                for (const std::string &s :
-                     splitList("--seeds", value()))
-                    cfg.seeds.push_back(requireU64("--seeds", s));
-            } else if (arg == "--survive") {
-                for (const std::string &s :
-                     splitList("--survive", value())) {
-                    const double p = requireDecimal("--survive", s);
-                    GPM_REQUIRE(p <= 1.0, "--survive: want a probability "
-                                "in [0, 1], got '", s, "'");
-                    cfg.survive_probs.push_back(p);
-                }
-            } else if (arg == "--jobs") {
-                cfg.jobs = requireExecWorkers("--jobs", value());
-            } else if (arg == "--media") {
-                const std::string v = value();
-                const std::optional<MediaConfig> m =
-                    parseMediaConfig(v);
-                if (!m)
-                    fatal("unknown media backend '", v, "' (valid: ",
-                          mediaUsage(), ")");
-                cfg.media = *m;
-            } else if (arg == "--scale") {
-                scale = true;
-            } else if (arg == "--tsv") {
-                tsv = true;
-            } else if (arg == "--summary-only") {
-                summary_only = true;
-            } else if (arg == "--list") {
-                list();
-                return 0;
-            } else {
-                usage();
-                return 2;
-            }
-        }
-
-        // --scale widens the spec and seed axes to the 10k+ grid
-        // unless the caller pinned them explicitly.
-        if (scale) {
-            if (cfg.specs.empty())
-                cfg.specs =
-                    CrashScheduler::enumerate(CrashGrid::fine());
-            if (cfg.seeds.empty())
-                for (std::uint64_t s = 1; s <= 12; ++s)
-                    cfg.seeds.push_back(s);
-        }
-
-        // Validate workload names before the sweep starts.
-        for (const std::string &w : cfg.workloads)
-            makeInvariant(w);
-
-        TortureConfig counted = cfg;
-        counted.applyDefaults();
-        std::printf("sweeping %zu crash scenarios (--jobs %d, "
-                    "--media %s)...\n",
-                    counted.scenarioCount(), cfg.jobs,
-                    mediaKey(cfg.media).c_str());
-
-        const auto t0 = std::chrono::steady_clock::now();
-        const TortureReport report = TortureRunner::run(cfg);
-        const double wall_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        if (!summary_only) {
-            if (tsv)
-                report.table().printTsv(std::cout);
-            else
-                report.table().print(std::cout);
-            std::printf("\n");
-        }
-        report.summary().print(std::cout);
-        const std::array<std::size_t, 4> counts =
-            report.classCounts();
-        std::printf("\nscenarios: %zu  strict-ok: %zu  ddio-trap: %zu"
-                    "  not-fired: %zu  violations: %zu\n",
-                    report.results.size(),
-                    counts[static_cast<int>(OutcomeClass::StrictOk)],
-                    counts[static_cast<int>(OutcomeClass::DdioTrap)],
-                    counts[static_cast<int>(OutcomeClass::NotFired)],
-                    counts[static_cast<int>(OutcomeClass::Violation)]);
-        std::printf("signature: %016llx\n",
-                    static_cast<unsigned long long>(
-                        report.signature()));
-        std::printf("sweep wall: %.3f s  (%zu scenarios, --jobs %d, "
-                    "%.0f scenarios/s)\n",
-                    wall_s, report.results.size(), cfg.jobs,
-                    wall_s > 0 ? report.results.size() / wall_s : 0.0);
-
-        if (counts[static_cast<int>(OutcomeClass::Violation)] != 0) {
-            for (const TortureResult &r : report.results) {
-                if (r.cls == OutcomeClass::Violation)
-                    std::printf("VIOLATION %s: %s\n", r.key().c_str(),
-                                r.detail.c_str());
-            }
-            return 1;
-        }
-        return 0;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "gpmtorture: %s\n", e.what());
-        return 2;
-    }
+    return cli::run("gpmtorture", kUsage, argc, argv, runTorture);
 }

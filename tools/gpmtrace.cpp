@@ -3,7 +3,7 @@
  * gpmtrace — run any GPMbench workload under a telemetry session and
  * write a Chrome-trace timeline plus a metrics snapshot.
  *
- *     gpmtrace --workload kvs [--platform gpm] [--seed N]
+ *     gpmtrace --workload kvs [--platform gpm] [--media M]
  *              [--trace trace.json] [--metrics metrics.json]
  *              [--summary [N]] [--no-crash]
  *     gpmtrace list
@@ -23,13 +23,12 @@
  *
  * --summary prints the top-N hottest kernels by traced wall time, the
  * observed NVM tier-byte breakdown, coalescing efficiency, and
- * histogram percentiles. --seed and --summary's N parse strictly
- * (common/env.hpp): malformed numbers exit 2.
+ * histogram percentiles. Arguments and exit codes follow
+ * tools/cli.hpp.
  */
 #include <algorithm>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -37,10 +36,9 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/env.hpp"
 #include "common/status.hpp"
-#include "harness/experiments.hpp"
-#include "memsim/media_backend.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -52,7 +50,6 @@ namespace {
 struct Options {
     std::optional<Bench> workload;
     PlatformKind platform = PlatformKind::Gpm;
-    std::uint64_t seed = 1;
     std::string trace_path = "trace.json";
     std::string metrics_path = "metrics.json";
     bool summary = false;
@@ -60,24 +57,16 @@ struct Options {
     bool crash_pass = true;
 };
 
-int
-usage()
-{
-    std::printf(
-        "gpmtrace — timeline + metrics for one workload run\n\n"
-        "  gpmtrace --workload W [--platform P] [--seed N] [--media M]\n"
-        "           [--trace FILE] [--metrics FILE]\n"
-        "           [--summary [N]] [--no-crash]\n"
-        "  gpmtrace list\n\n"
-        "workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps\n"
-        "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
-        "media:     %s\n"
-        "--no-crash: skip the crash + recovery pass\n"
-        "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
-        "            coalescing efficiency and histogram percentiles\n",
-        mediaUsage());
-    return 2;
-}
+constexpr const char *kUsage =
+    "usage: gpmtrace --workload W [--platform P] [--media M]\n"
+    "                [--trace FILE] [--metrics FILE]\n"
+    "                [--summary [N]] [--no-crash]\n"
+    "       gpmtrace list\n"
+    "workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps\n"
+    "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
+    "--no-crash: skip the crash + recovery pass\n"
+    "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
+    "            coalescing efficiency and histogram percentiles\n";
 
 /** Aggregate of one kernel's "launch" spans. */
 struct KernelAgg {
@@ -108,10 +97,9 @@ printSummary(const Options &opt, const telemetry::Session &session,
         return a.second.wall_us > b.second.wall_us;
     });
 
-    std::printf("== gpmtrace summary: %s on %s (seed %llu) ==\n",
+    std::printf("== gpmtrace summary: %s on %s ==\n",
                 benchName(*opt.workload).c_str(),
-                platformName(opt.platform).c_str(),
-                static_cast<unsigned long long>(opt.seed));
+                platformName(opt.platform).c_str());
 
     std::printf("\nhottest kernels (traced host wall time):\n");
     const int top = std::min<int>(opt.summary_top,
@@ -217,7 +205,6 @@ writeMetrics(const std::string &path, const Options &opt,
         w.field("tool", "gpmtrace");
         w.field("workload", benchKey(*opt.workload));
         w.field("platform", platformKey(opt.platform));
-        w.field("seed", opt.seed);
         w.field("media", mediaKey(cfg.media));
         w.field("identities_ok", identities_ok);
         snap.writeFields(w);
@@ -228,90 +215,46 @@ writeMetrics(const std::string &path, const Options &opt,
         error);
 }
 
-/** Parse the flags (malformed numbers throw FatalError) and run. */
 int
-runTrace(int argc, char **argv)
+runTrace(cli::Args &a)
 {
     Options opt;
     SimConfig cfg = bench::benchConfig();
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "gpmtrace: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "list") {
-            for (const BenchKey &n : benchKeys()) {
-                std::printf("%-7s %-14s %s\n", n.key,
-                            benchName(n.bench).c_str(),
-                            benchClass(n.bench).c_str());
-            }
-            return 0;
-        } else if (a == "--workload") {
-            const char *v = next("--workload");
-            opt.workload = benchFromKey(v);
-            if (!opt.workload) {
-                std::fprintf(stderr, "gpmtrace: unknown workload '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (a == "--platform") {
-            const char *v = next("--platform");
-            const auto kind = platformFromKey(v);
-            if (!kind) {
-                std::fprintf(stderr, "gpmtrace: unknown platform '%s'\n",
-                             v);
-                return 2;
-            }
-            opt.platform = *kind;
-        } else if (a == "--seed") {
-            opt.seed = requireU64("--seed", next("--seed"));
-        } else if (a == "--media") {
-            const char *v = next("--media");
-            const std::optional<MediaConfig> m = parseMediaConfig(v);
-            if (!m) {
-                std::fprintf(stderr,
-                             "gpmtrace: unknown media backend '%s' "
-                             "(valid: %s)\n",
-                             v, mediaUsage());
-                return 2;
-            }
-            applyMediaConfig(cfg, *m);
-        } else if (a == "--trace") {
-            opt.trace_path = next("--trace");
-        } else if (a == "--metrics") {
-            opt.metrics_path = next("--metrics");
-        } else if (a == "--summary") {
-            opt.summary = true;
-            // An optional N follows when the next word is not a flag.
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                const std::uint64_t n = requireU64("--summary", argv[++i]);
-                GPM_REQUIRE(n > 0, "--summary: want a positive count");
-                opt.summary_top =
-                    static_cast<int>(std::min<std::uint64_t>(n, INT_MAX));
-            }
-        } else if (a == "--no-crash") {
-            opt.crash_pass = false;
-        } else {
-            std::fprintf(stderr, "gpmtrace: unknown argument '%s'\n",
-                         a.c_str());
-            return usage();
-        }
+    if (const std::optional<std::string> w = a.value("--workload"))
+        opt.workload = cli::workload(*w);
+    if (const std::optional<std::string> p = a.value("--platform"))
+        opt.platform = cli::platform(*p);
+    if (const std::optional<MediaConfig> m = a.media())
+        applyMediaConfig(cfg, *m);
+    opt.trace_path = a.value("--trace").value_or(opt.trace_path);
+    opt.metrics_path = a.value("--metrics").value_or(opt.metrics_path);
+    std::optional<std::string> top;
+    opt.summary = a.has("--summary", &top);
+    if (top) {
+        const std::uint64_t n = requireU64("--summary", *top);
+        if (n == 0)
+            fatal("--summary: want a positive count, got '0'");
+        opt.summary_top =
+            static_cast<int>(std::min<std::uint64_t>(n, INT_MAX));
+    }
+    opt.crash_pass = !a.has("--no-crash");
+    if (const std::optional<std::string> cmd = a.positional()) {
+        if (*cmd != "list")
+            fatal("unknown command '", *cmd, "' (valid: list)");
+        a.done();
+        cli::printBenchKeys();
+        return 0;
     }
     if (!opt.workload)
-        return usage();
+        fatal("--workload is required");
+    a.done();
 
     telemetry::ScopedSession session;
 
     WorkloadResult clean;
     {
         telemetry::Span span("scenario", "clean-run");
-        clean = runBench(*opt.workload, opt.platform, cfg, opt.seed);
+        clean = runBench(*opt.workload, opt.platform, cfg);
     }
     if (!clean.supported) {
         std::fprintf(stderr, "gpmtrace: %s is unsupported on %s\n",
@@ -327,7 +270,7 @@ runTrace(int argc, char **argv)
         // and are skipped, exactly as in gpmbench's crash command.
         telemetry::Span span("scenario", "crash-recovery");
         const WorkloadResult r =
-            runBenchWithCrash(*opt.workload, cfg, opt.seed);
+            runBenchWithCrash(*opt.workload, cfg);
         if (r.op_ns != 0 || r.recovery_ns != 0)
             recovered_ok = r.verified;
     }
@@ -380,10 +323,5 @@ runTrace(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return runTrace(argc, argv);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "gpmtrace: %s\n", e.what());
-        return 2;
-    }
+    return cli::run("gpmtrace", kUsage, argc, argv, runTrace);
 }
