@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared output helpers for the figure/table benches.
+ * Shared output and configuration helpers for the figure/table benches.
  *
  * Mirrors the paper artifact's reporting: every bench prints an
  * aligned human-readable table to stdout and the same rows as
@@ -8,10 +8,13 @@
  */
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/status.hpp"
 #include "common/table.hpp"
+#include "harness/experiments.hpp"
 
 namespace gpm::bench {
 
@@ -24,6 +27,22 @@ report(const std::string &title, const Table &table)
     std::cout << "\n--- TSV ---\n";
     table.printTsv(std::cout);
     std::cout << std::endl;
+}
+
+/**
+ * benchConfig() for a driver's main(): a malformed GPM_MEDIA prints
+ * its message and exits 2, the tools' usage-error code, instead of
+ * escaping main as an uncaught FatalError.
+ */
+inline SimConfig
+driverConfig(const char *driver)
+{
+    try {
+        return benchConfig();
+    } catch (const FatalError &e) {
+        std::cerr << driver << ": " << e.what() << "\n";
+        std::exit(2);
+    }
 }
 
 } // namespace gpm::bench

@@ -22,7 +22,7 @@ using namespace gpm::bench;
 int
 main()
 {
-    const SimConfig cfg = benchConfig();
+    const SimConfig cfg = driverConfig("fig09_speedup");
     constexpr PlatformKind kCols[] = {
         PlatformKind::CapFs, PlatformKind::CapMm,
         PlatformKind::Gpm,   PlatformKind::Gpufs,

@@ -25,7 +25,7 @@ using namespace gpm::bench;
 int
 main()
 {
-    const SimConfig cfg = benchConfig();
+    const SimConfig cfg = driverConfig("fig10_eadr");
     constexpr PlatformKind kCols[] = {
         PlatformKind::CapFs, PlatformKind::GpmNdp, PlatformKind::Gpm,
         PlatformKind::GpmEadr, PlatformKind::CapEadr,

@@ -18,7 +18,7 @@ using namespace gpm::bench;
 int
 main()
 {
-    const SimConfig cfg = benchConfig();
+    const SimConfig cfg = driverConfig("fig12_pcie_bandwidth");
     Table table({"Class", "Workload", "PM write BW (GB/s)",
                  "Link max (GB/s)"});
 

@@ -228,9 +228,11 @@ PmPool::crash(double survive_prob)
         span.arg("survive_prob", survive_prob);
     }
     const std::uint64_t survivors_before = stats_.crash_survivors;
+    std::uint64_t restored = 0;
     ++stats_.crashes;
     if (domain_ == PersistDomain::LlcDurable) {
-        // eADR drains caches on power failure.
+        // eADR drains caches on power failure, which leaves visible
+        // equal to durable: nothing to restore.
         persistAll();
     } else {
         // Survival is decided per 128 B cache line, not per pending
@@ -256,17 +258,31 @@ PmPool::crash(double survive_prob)
                 }
             }
         }
+        // Post-reboot: only durable contents remain visible. Visible
+        // differs from durable only inside pending extents, so those
+        // are all that is reset. This runs after every survivor has
+        // drained: a survivor in a range two owners overlap copies the
+        // visible bytes, which an earlier reset would have replaced.
+        for (const auto &[owner, extents] : pending_) {
+            for (const Extent &e : extents) {
+                std::memcpy(visible_.data() + e.addr,
+                            durable_.data() + e.addr, e.size);
+                restored += e.size;
+            }
+        }
         pending_.clear();
     }
-    // Post-reboot: only durable contents remain visible.
-    visible_ = durable_;
+    stats_.crash_restored_bytes += restored;
     if (recorder_)
         recorder_->crash(domain_, survive_prob,
                          stats_.crash_survivors - survivors_before);
-    if (span.armed())
+    if (span.armed()) {
         span.arg("surviving_lines",
                  stats_.crash_survivors - survivors_before);
+        span.arg("restored_bytes", restored);
+    }
     telemetry::count("pool.crash_events");
+    telemetry::count("pool.crash_restored_bytes", restored);
 }
 
 std::size_t
@@ -338,7 +354,7 @@ PmPool::loadDurable(const std::string &path, PersistDomain domain,
     is.read(reinterpret_cast<char *>(pool.durable_.data()),
             static_cast<std::streamsize>(cap));
     GPM_REQUIRE(is.good(), "short read loading pool from '", path, "'");
-    pool.visible_ = pool.durable_;
+    std::memcpy(pool.visible_.data(), pool.durable_.data(), cap);
     return pool;
 }
 

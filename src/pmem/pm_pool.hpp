@@ -49,12 +49,14 @@ class PmEventRecorder;
 /**
  * Zero-initialized byte image backed by calloc.
  *
- * Pools are allocated at full testbed capacity (hundreds of MB) per
- * Machine but most workloads touch a fraction of it; calloc leaves
- * untouched pages mapped to the kernel zero page, so construction is
- * O(1) in faulted memory where the previous std::vector(capacity, 0)
- * paid a memset over every page. Copy assignment (the crash-time
- * visible = durable reset) still touches everything, as it must.
+ * Pools are allocated at full testbed capacity per Machine but most
+ * workloads touch a fraction of it. Above glibc's mmap threshold
+ * calloc maps fresh pages, so untouched pages never fault. Below it
+ * (an 8 MiB torture pool once glibc's dynamic threshold has grown
+ * past it, or under a raised M_MMAP_THRESHOLD) calloc recycles a heap
+ * chunk and memsets all of it, so construction is O(capacity) there.
+ * Nothing after construction is: the image is move-only, and a crash
+ * restores only the pending extents (see PmPool::crash).
  */
 class PmImage
 {
@@ -67,29 +69,13 @@ class PmImage
                     " bytes failed");
     }
 
-    PmImage(const PmImage &o) : PmImage(o.size_)
-    {
-        std::memcpy(data_, o.data_, size_);
-    }
+    PmImage(const PmImage &) = delete;
+    PmImage &operator=(const PmImage &) = delete;
 
     PmImage(PmImage &&o) noexcept : data_(o.data_), size_(o.size_)
     {
         o.data_ = nullptr;
         o.size_ = 0;
-    }
-
-    PmImage &
-    operator=(const PmImage &o)
-    {
-        if (this != &o) {
-            if (size_ != o.size_) {
-                PmImage fresh(o.size_);
-                std::swap(data_, fresh.data_);
-                std::swap(size_, fresh.size_);
-            }
-            std::memcpy(data_, o.data_, size_);
-        }
-        return *this;
     }
 
     PmImage &
@@ -136,6 +122,8 @@ struct PmPoolStats {
     std::uint64_t crash_survivors = 0;   ///< lines that won the roll
     std::uint64_t extents_merged = 0;    ///< appends coalesced into the
                                          ///< owner's previous extent
+    std::uint64_t crash_restored_bytes = 0; ///< visible bytes reset to
+                                            ///< durable at crash
 };
 
 /** Simulated byte-addressable persistent memory with crash semantics. */
@@ -250,13 +238,20 @@ class PmPool
      * crash); everything else is lost and the visible image is reset
      * to the durable image, i.e. the post-reboot state.
      *
+     * The reset costs O(dirty), not O(capacity): visible and durable
+     * can differ only inside pending extents (a non-eADR store always
+     * records one, an eADR store writes both images, and a drain
+     * copies visible to durable), so only those ranges are copied
+     * back. The count lands in PmPoolStats::crash_restored_bytes.
+     *
      * Line granularity matters: a multi-chunk HCL entry or a 60 B row
      * straddling a line can be *torn* — partially durable — which is
      * precisely the adversarial state undo-log recovery must tolerate.
      * Per-extent survival could never produce it.
      *
      * Under LlcDurable (eADR) all pending extents drain — that is the
-     * hardware guarantee.
+     * hardware guarantee — which leaves the two images equal, so
+     * nothing is restored.
      */
     void crash(double survive_prob = 0.0);
 

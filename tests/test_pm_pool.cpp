@@ -6,10 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "pmem/pm_pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gpm {
 namespace {
@@ -338,6 +344,273 @@ TEST(PmPool, DomainSwitchMidstream)
     // The pre-switch write was drained by the same fence (it was
     // still pending under this owner).
     EXPECT_EQ(pool.loadDurable<std::uint64_t>(0), 3u);
+}
+
+/**
+ * Reference model of PmPool's image semantics whose crash resets the
+ * visible image with a copy of the whole durable image. It keeps the
+ * pool's pending-extent coalescing and crash-time line enumeration, so
+ * both draw the same survivor lottery from the same seed.
+ */
+class FullCopyPool
+{
+  public:
+    FullCopyPool(std::size_t capacity, PersistDomain domain,
+                 std::uint64_t seed)
+        : visible(capacity, 0), durable(capacity, 0), domain(domain),
+          rng(seed)
+    {
+    }
+
+    void
+    write(OwnerId owner, std::uint64_t addr, const std::uint8_t *src,
+          std::uint64_t size)
+    {
+        std::copy(src, src + size, visible.begin() + addr);
+        if (domain == PersistDomain::LlcDurable) {
+            std::copy(src, src + size, durable.begin() + addr);
+            return;
+        }
+        std::vector<Extent> &pend = pending[owner];
+        if (!pend.empty()) {
+            Extent &last = pend.back();
+            if (addr <= last.addr + last.size &&
+                addr + size >= last.addr) {
+                const std::uint64_t hi =
+                    std::max(last.addr + last.size, addr + size);
+                last.addr = std::min(last.addr, addr);
+                last.size = hi - last.addr;
+                return;
+            }
+        }
+        pend.push_back({addr, size});
+    }
+
+    void
+    persistOwner(OwnerId owner)
+    {
+        if (domain != PersistDomain::McDurable)
+            return;
+        for (const Extent &e : pending[owner])
+            drain(e);
+        pending.erase(owner);
+    }
+
+    void
+    persistRange(std::uint64_t addr, std::uint64_t size)
+    {
+        for (auto &[owner, extents] : pending) {
+            std::vector<Extent> kept;
+            for (const Extent &e : extents) {
+                if (e.addr < addr + size && e.addr + e.size > addr)
+                    drain(e);
+                else
+                    kept.push_back(e);
+            }
+            extents = kept;
+        }
+    }
+
+    void
+    persistAll()
+    {
+        for (const auto &[owner, extents] : pending)
+            for (const Extent &e : extents)
+                drain(e);
+        pending.clear();
+    }
+
+    void
+    crash(double p)
+    {
+        if (domain == PersistDomain::LlcDurable) {
+            persistAll();
+        } else {
+            for (const auto &[owner, extents] : pending) {
+                for (const Extent &e : extents) {
+                    const std::uint64_t end = e.addr + e.size;
+                    for (std::uint64_t lo =
+                             alignDown(e.addr, PmPool::kCrashLineBytes);
+                         lo < end; lo += PmPool::kCrashLineBytes) {
+                        const std::uint64_t a = std::max(lo, e.addr);
+                        const std::uint64_t b =
+                            std::min(lo + PmPool::kCrashLineBytes, end);
+                        if (p > 0.0 && rng.chance(p))
+                            drain({a, b - a});
+                    }
+                }
+            }
+            pending.clear();
+        }
+        visible = durable;
+    }
+
+    std::vector<std::uint8_t> visible, durable;
+    PersistDomain domain;
+
+  private:
+    struct Extent {
+        std::uint64_t addr, size;
+    };
+
+    void
+    drain(const Extent &e)
+    {
+        std::copy(visible.begin() + e.addr,
+                  visible.begin() + e.addr + e.size,
+                  durable.begin() + e.addr);
+    }
+
+    // Empty owner vectors left by persistRange are harmless here: the
+    // pool erases them, and an empty vector adds no line to the draw.
+    std::map<OwnerId, std::vector<Extent>> pending;
+    Rng rng;
+};
+
+bool
+sameImage(const std::uint8_t *a, const std::vector<std::uint8_t> &b)
+{
+    return std::memcmp(a, b.data(), b.size()) == 0;
+}
+
+TEST(PmPool, PendingExtentRestoreMatchesFullImageCopy)
+{
+    // Random op streams on a small pool, so stores from several owners
+    // overlap, abut and rewrite each other, under every domain. After
+    // each crash the pool's extent-only restore must leave exactly the
+    // images the whole-image copy leaves.
+    constexpr std::size_t kCap = 8_KiB;
+    constexpr PersistDomain kDomains[] = {PersistDomain::McDurable,
+                                          PersistDomain::LlcVolatile,
+                                          PersistDomain::LlcDurable};
+    constexpr double kProbs[] = {0.0, 0.5, 1.0};
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        PmPool pool(kCap, PersistDomain::McDurable, seed);
+        FullCopyPool ref(kCap, PersistDomain::McDurable, seed);
+        Rng ops(seed * 7919);
+        std::vector<std::uint8_t> buf(512);
+        std::uint64_t crashes = 0;
+        for (int step = 0; step < 400; ++step) {
+            const std::uint64_t op = ops.below(100);
+            if (op < 60) {
+                const OwnerId owner = ops.below(4);
+                const bool cpu = ops.chance(0.3);
+                const std::uint64_t size = 1 + ops.below(buf.size());
+                // Mostly a narrow hot window, so ranges collide.
+                const std::uint64_t span = ops.chance(0.8) ? 2048 : kCap;
+                const std::uint64_t addr = ops.below(span - size + 1);
+                for (std::uint8_t &b : buf)
+                    b = static_cast<std::uint8_t>(ops.next());
+                if (cpu)
+                    pool.cpuWrite(owner, addr, buf.data(), size);
+                else
+                    pool.deviceWrite(owner, addr, buf.data(), size);
+                ref.write(cpu ? kCpuOwnerBase | owner : owner, addr,
+                          buf.data(), size);
+            } else if (op < 70) {
+                const OwnerId owner = ops.below(4);
+                pool.persistOwner(owner);
+                ref.persistOwner(owner);
+            } else if (op < 76) {
+                const std::uint64_t size = 1 + ops.below(1024);
+                const std::uint64_t addr = ops.below(kCap - size + 1);
+                pool.persistRange(addr, size);
+                ref.persistRange(addr, size);
+            } else if (op < 78) {
+                pool.persistAll();
+                ref.persistAll();
+            } else if (op < 90) {
+                const PersistDomain d = kDomains[ops.below(3)];
+                pool.setDomain(d);
+                ref.domain = d;
+            } else {
+                const double p = kProbs[ops.below(3)];
+                pool.crash(p);
+                ref.crash(p);
+                ++crashes;
+                ASSERT_EQ(std::memcmp(pool.visible(), pool.durable(), kCap),
+                          0)
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(pool.pendingExtents(), 0u);
+            }
+            ASSERT_TRUE(sameImage(pool.visible(), ref.visible))
+                << "seed " << seed << " step " << step;
+            ASSERT_TRUE(sameImage(pool.durable(), ref.durable))
+                << "seed " << seed << " step " << step;
+        }
+        EXPECT_EQ(pool.stats().crashes, crashes);
+    }
+}
+
+TEST(PmPool, EadrStoreOverPendingExtentRestoresExactly)
+{
+    // A McDurable extent stays pending while an eADR store lands
+    // inside it: the eADR bytes are durable, the rest of the extent is
+    // not. Whatever survives, the crash leaves visible == durable.
+    constexpr std::uint64_t kCap = 4096;
+    for (const double p : {0.0, 1.0}) {
+        PmPool pool(kCap, PersistDomain::McDurable);
+        std::uint8_t a[256], b[64];
+        std::memset(a, 0xaa, sizeof a);
+        std::memset(b, 0xbb, sizeof b);
+        pool.deviceWrite(1, 0, a, sizeof a);
+        pool.setDomain(PersistDomain::LlcDurable);
+        pool.deviceWrite(2, 64, b, sizeof b);
+        pool.setDomain(PersistDomain::McDurable);
+        EXPECT_EQ(pool.pendingBytes(), 256u);
+
+        pool.crash(p);
+        EXPECT_EQ(std::memcmp(pool.visible(), pool.durable(), kCap), 0);
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(64), 0xbbu);
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(127), 0xbbu);
+        const std::uint8_t rest = p == 1.0 ? 0xaa : 0x00;
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(0), rest);
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(128), rest);
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(255), rest);
+        EXPECT_EQ(pool.loadDurable<std::uint8_t>(256), 0x00u);
+    }
+}
+
+TEST(PmPool, CrashRestoresOnlyPendingBytes)
+{
+    telemetry::ScopedSession session;
+    PmPool pool(64_KiB, PersistDomain::McDurable, 3);
+    std::uint8_t buf[300] = {};
+    pool.deviceWrite(0, 0, buf, 100);
+    pool.deviceWrite(0, 100, buf, 200);   // abuts: one extent
+    pool.deviceWrite(1, 50, buf, 300);    // overlaps owner 0's
+    pool.cpuWrite(0, 40000, buf, 17);
+    pool.persistOwner(1);
+    pool.deviceWrite(1, 9000, buf, 8);
+    const std::uint64_t pending = pool.pendingBytes();
+    EXPECT_EQ(pending, 300u + 17u + 8u);
+    pool.crash(0.5);
+    EXPECT_EQ(pool.stats().crash_restored_bytes, pending);
+
+    // eADR: the drain leaves the images equal, so nothing is restored.
+    pool.deviceWrite(0, 0, buf, 64);
+    pool.setDomain(PersistDomain::LlcDurable);
+    pool.deviceWrite(0, 4096, buf, 64);
+    EXPECT_EQ(pool.pendingBytes(), 64u);
+    pool.crash(0.5);
+    EXPECT_EQ(pool.stats().crash_restored_bytes, pending);
+    EXPECT_EQ(pool.stats().crashes, 2u);
+
+    // The same figures reach the telemetry counter and crash spans.
+    EXPECT_EQ(session->metrics.snapshot().counter(
+                  "pool.crash_restored_bytes"),
+              pending);
+    std::vector<std::string> args;
+    for (const telemetry::TraceEvent &ev : session->trace.collect())
+        if (std::strcmp(ev.cat, "crash") == 0)
+            args.push_back(ev.args);
+    ASSERT_EQ(args.size(), 2u);
+    EXPECT_NE(args[0].find("\"restored_bytes\": " +
+                           std::to_string(pending)),
+              std::string::npos)
+        << args[0];
+    EXPECT_NE(args[1].find("\"restored_bytes\": 0"), std::string::npos)
+        << args[1];
 }
 
 } // namespace

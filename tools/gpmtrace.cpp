@@ -22,9 +22,9 @@
  * malformed or inconsistent artifact fails the run that produced it.
  *
  * --summary prints the top-N hottest kernels by traced wall time, the
- * observed NVM tier-byte breakdown, coalescing efficiency, and
- * histogram percentiles. Arguments and exit codes follow
- * tools/cli.hpp.
+ * observed NVM tier-byte breakdown, coalescing efficiency, the bytes
+ * crashes restored, and histogram percentiles. Arguments and exit
+ * codes follow tools/cli.hpp.
  */
 #include <algorithm>
 #include <climits>
@@ -66,7 +66,8 @@ constexpr const char *kUsage =
     "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
     "--no-crash: skip the crash + recovery pass\n"
     "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
-    "            coalescing efficiency and histogram percentiles\n";
+    "            coalescing efficiency, crash-restored bytes and\n"
+    "            histogram percentiles\n";
 
 /** Aggregate of one kernel's "launch" spans. */
 struct KernelAgg {
@@ -155,6 +156,17 @@ printSummary(const Options &opt, const telemetry::Session &session,
                 static_cast<unsigned long long>(payload),
                 static_cast<unsigned long long>(line_bytes),
                 line_bytes ? 100.0 * payload / line_bytes : 0.0);
+
+    // A crash resets only the pending extents, so this stays far
+    // below crashes x pool capacity.
+    std::printf("\ncrash reset:\n");
+    std::printf("  crashes %llu, restored %llu bytes of the visible "
+                "image (pool capacity %zu bytes)\n",
+                static_cast<unsigned long long>(
+                    snap.counter("pool.crash_events")),
+                static_cast<unsigned long long>(
+                    snap.counter("pool.crash_restored_bytes")),
+                pmCapacity());
 
     // Tail percentiles of every recorded distribution — the same
     // log2-bin estimator gpmserve's latency accounting uses.
